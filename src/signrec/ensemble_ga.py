@@ -18,7 +18,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidChromosomeError, SelectionError, TrainingDivergenceError
+from .errors import (
+    ConfigurationError,
+    FormatError,
+    InvalidChromosomeError,
+    SelectionError,
+    TrainingDivergenceError,
+)
 from .featurestore import Dataset
 from .metrics import topk_accuracy
 from .model import (
@@ -502,6 +508,8 @@ def load_ensemble(path) -> tuple[EnsembleClassifier, dict]:
     groups: dict[str, dict[str, np.ndarray]] = {"early": {}, "late": {}, "head": {}}
     for name, arr in tensors.items():
         prefix, _, rest = name.partition(".")
+        if prefix not in groups:
+            raise FormatError(f"{path}: unknown tensor {name!r} in ensemble checkpoint")
         groups[prefix][rest] = arr
     early = ModelParams(config_from_json(config_doc["early"]), groups["early"])
     late = ModelParams(config_from_json(config_doc["late"]), groups["late"])

@@ -6,10 +6,13 @@ bytes are asserted directly, without subprocess overhead.
 
 import json
 import shutil
+import struct
 
 import pytest
 
 from signrec.cli import main
+from signrec.ensemble_ga import load_ensemble
+from signrec.errors import FormatError
 from signrec.model import load_model
 
 
@@ -215,6 +218,40 @@ def test_corrupt_record_exits_2(pipeline, tmp_path, capsys):
     )
     assert rc == 2
     assert "bad magic" in capsys.readouterr().err
+
+
+def _drop(key):
+    return lambda header: header["tensors"][0].pop(key)
+
+
+@pytest.mark.parametrize(
+    "source, edit",
+    [
+        ("late.ckpt", lambda header: header.pop("tensors")),
+        ("late.ckpt", _drop("name")),
+        ("late.ckpt", _drop("shape")),
+        ("late.ckpt", _drop("offset")),
+        ("late.ckpt", lambda header: header["tensors"][0].update(shape=[-1])),
+        ("ens.ckpt", lambda header: header["tensors"][0].update(name="mid.x")),
+    ],
+    ids=["no-tensors", "no-name", "no-shape", "no-offset", "negative-dim", "unknown-prefix"],
+)
+def test_malformed_checkpoint_header_exits_2(pipeline, tmp_path, capsys, source, edit):
+    raw = (pipeline["root"] / source).read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw)
+    header = json.loads(raw[4 : 4 + hlen])
+    edit(header)
+    text = json.dumps(header).encode()
+    bad = tmp_path / source
+    bad.write_bytes(struct.pack("<I", len(text)) + text + raw[4 + hlen :])
+    with pytest.raises(FormatError):
+        (load_ensemble if source == "ens.ckpt" else load_model)(bad)
+    rc = run(
+        "eval", "--data", pipeline["manifest"], "--model", bad,
+        "--split", "test", "--out", tmp_path / "m.json",
+    )
+    assert rc == 2
+    assert str(bad) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["3,10,20", "10,1,2,3,4,5,6,7,8,9", "2,a,b", ""])

@@ -53,6 +53,14 @@ def test_positional_encoding_closed_form():
             npt.assert_allclose(pe[t, 2 * i + 1], math.cos(rate), rtol=1e-12)
 
 
+def test_positional_encoding_is_shared_read_only():
+    pe = positional_encoding(5, 8)
+    assert positional_encoding(5, 8) is pe
+    assert not pe.flags.writeable
+    with pytest.raises(ValueError):
+        pe[0, 0] = 1.0
+
+
 def test_positional_encoding_errors():
     with pytest.raises(ConfigurationError):
         positional_encoding(4, 7)
@@ -219,6 +227,23 @@ def test_forward_masking_invariance(tiny_late_config, tiny_early_config):
         p2, e2, _ = forward_batch(params, grow(a), grow(b), grow(c), grow(mask).astype(bool))
         assert np.abs(p1 - p2).max() < 1e-5
         assert np.abs(e1 - e2).max() < 1e-5
+
+
+def test_inference_blocks_match_row_by_row(tiny_late_config, tiny_early_config):
+    # at T=40 inference runs in blocks of 3 rows, so 7 rows span three blocks
+    rng = np.random.default_rng(12)
+    a, b, c, mask = random_stream_batch(rng, n=7, T=40, pad=0)
+    for i, real in enumerate((40, 25, 40, 1, 33, 40, 12)):
+        mask[i, real:] = False
+        a[i, real:] = b[i, real:] = c[i, real:] = 0.0
+    for cfg in (tiny_late_config, tiny_early_config):
+        params = init_params(cfg, np.random.default_rng(7))
+        probs, emb, _ = forward_batch(params, a, b, c, mask)
+        for i in range(len(mask)):
+            row = slice(i, i + 1)
+            p_i, e_i, _ = forward_batch(params, a[row], b[row], c[row], mask[row])
+            assert np.abs(probs[i] - p_i[0]).max() <= 1e-12
+            assert np.abs(emb[i] - e_i[0]).max() <= 1e-12
 
 
 def test_forward_train_dropout(tiny_late_config):
