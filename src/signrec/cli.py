@@ -112,42 +112,24 @@ def _load_run_config(path) -> dict:
     return doc
 
 
-def _train_config(doc: dict, args) -> TrainConfig:
-    fields: dict = dict(doc.get("train", {}))
+def _config(cls, doc: dict, section: str, args, **defaults):
+    """cls from defaults, then the config file's section, then the flags given.
+
+    The config file's top-level seed stands in for a seed the section lacks.
+    """
+    names = {f.name for f in dataclasses.fields(cls)}
+    fields = {**defaults, **doc.get(section, {})}
+    if "seed" in names and "seed" in doc:
+        fields.setdefault("seed", doc["seed"])
+    fields.update((n, getattr(args, n)) for n in names if getattr(args, n, None) is not None)
     if "loss_weights" in fields:
         fields["loss_weights"] = tuple(fields["loss_weights"])
     if "stream_toggles" in fields:
         fields["stream_toggles"] = tuple(bool(v) for v in fields["stream_toggles"])
-    if "seed" in doc and "seed" not in fields:
-        fields["seed"] = doc["seed"]
-    overrides = {
-        "learning_rate": args.lr,
-        "weight_decay": args.wd,
-        "epochs": args.epochs,
-        "batch_size": args.batch_size,
-        "seed": args.seed,
-    }
-    for name, value in overrides.items():
-        if value is not None:
-            fields[name] = value
-    if getattr(args, "streams", None) is not None:
-        fields["stream_toggles"] = _parse_streams(args.streams)
     try:
-        return TrainConfig(**fields)
+        return cls(**fields)
     except TypeError as exc:
-        raise ConfigurationError(f"bad training config: {exc}") from exc
-
-
-def _decode_config(doc: dict, args) -> dec.DecodeConfig:
-    fields = dict(doc.get("decode", {}))
-    for name in ("window", "step", "threshold"):
-        value = getattr(args, name, None)
-        if value is not None:
-            fields[name] = value
-    try:
-        return dec.DecodeConfig(**fields)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad decode config: {exc}") from exc
+        raise ConfigurationError(f"bad {section} config: {exc}") from exc
 
 
 def _dataset(path):
@@ -188,7 +170,7 @@ def cmd_synth(args) -> None:
 
 def cmd_train(args) -> None:
     doc = _load_run_config(args.config) if args.config else {}
-    config = _train_config(doc, args)
+    config = _config(TrainConfig, doc, "train", args)
     arch = args.arch or doc.get("arch")
     if arch not in ("early", "late"):
         raise ConfigurationError("--arch must be 'early' or 'late'")
@@ -211,20 +193,7 @@ def cmd_train(args) -> None:
 
 def cmd_ga(args) -> None:
     doc = _load_run_config(args.config) if args.config else {}
-    fields = dict(doc.get("ga", {}))
-    if "seed" in doc and "seed" not in fields:
-        fields["seed"] = doc["seed"]
-    for name, value in (
-        ("population_size", args.population),
-        ("generations", args.generations),
-        ("seed", args.seed),
-    ):
-        if value is not None:
-            fields[name] = value
-    try:
-        config = eg.GAConfig(**fields)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad GA config: {exc}") from exc
+    config = _config(eg.GAConfig, doc, "ga", args)
     dataset = _dataset(args.data or doc.get("data"))
     early, _ = load_model(args.early)
     late, _ = load_model(args.late)
@@ -247,26 +216,10 @@ def cmd_ga(args) -> None:
 
 def cmd_ensemble(args) -> None:
     doc = _load_run_config(args.config) if args.config else {}
-    fields = dict(doc.get("train", {}))
-    if "seed" in doc and "seed" not in fields:
-        fields["seed"] = doc["seed"]
-    for name, value in (
-        ("epochs", args.epochs),
-        ("seed", args.seed),
-        ("batch_size", args.batch_size),
-    ):
-        if value is not None:
-            fields[name] = value
-    fields.setdefault("learning_rate", eg.ENSEMBLE_LR)
-    fields.setdefault("weight_decay", eg.ENSEMBLE_WD)
-    if "loss_weights" in fields:
-        fields["loss_weights"] = tuple(fields["loss_weights"])
-    if "stream_toggles" in fields:
-        fields["stream_toggles"] = tuple(bool(v) for v in fields["stream_toggles"])
-    try:
-        config = TrainConfig(**fields)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad training config: {exc}") from exc
+    config = _config(
+        TrainConfig, doc, "train", args,
+        learning_rate=eg.ENSEMBLE_LR, weight_decay=eg.ENSEMBLE_WD,
+    )
     if args.chromosome:
         chromosome = _parse_chromosome(args.chromosome)
     elif args.chromosome_file:
@@ -315,7 +268,7 @@ def cmd_eval(args) -> None:
     )
     print(
         f"{kind} on {args.split}: top1 {top1:.3f} top5 {top5:.3f} "
-        f"(mean latency {1000 * latency:.1f} ms) -> {args.out}",
+        f"({1000 * latency:.1f} ms per record, amortized over batches of 32) -> {args.out}",
         file=sys.stderr,
     )
 
@@ -345,7 +298,7 @@ def cmd_sentences(args) -> None:
 
 def cmd_decode(args) -> None:
     doc = _load_run_config(args.config) if args.config else {}
-    config = _decode_config(doc, args)
+    config = _config(dec.DecodeConfig, doc, "decode", args)
     predictor, kind = _load_predictor(args.model)
     sent_dir = Path(args.sentences)
     index_path = sent_dir / "sentences.json" if sent_dir.is_dir() else sent_dir
@@ -400,11 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--arch", choices=("early", "late"))
     p.add_argument("--config", help="RunConfig JSON file")
     p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--wd", type=float, default=None)
+    p.add_argument("--lr", dest="learning_rate", type=float, default=None)
+    p.add_argument("--wd", dest="weight_decay", type=float, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--streams", help="comma list from A,B,C to keep enabled")
+    p.add_argument("--streams", dest="stream_toggles", type=_parse_streams,
+                   help="comma list from A,B,C to keep enabled")
     p.add_argument("--log", help="JSON-lines training log path")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.set_defaults(func=cmd_train)
@@ -416,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="RunConfig JSON file")
     p.add_argument("--budget-epochs", type=int, default=10)
     p.add_argument("--generations", type=int, default=None)
-    p.add_argument("--population", type=int, default=None)
+    p.add_argument("--population", dest="population_size", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--history", help="JSON-lines GA history path")
     p.add_argument("--out", required=True, help="best-chromosome JSON path")

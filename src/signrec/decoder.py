@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .featurestore import FeatureSequence
-from .preprocess import assemble_streams
-from .train import probability_fn
+from .preprocess import assemble_streams, stack_batches
 
 
 @dataclass(frozen=True)
@@ -66,14 +65,14 @@ def windows(seq_len: int, config: DecodeConfig) -> list[int]:
 
 
 def classify_window(model, frames: Sequence, config: DecodeConfig, start: int = 0) -> WindowPrediction:
-    """Classify one window of frames; below-threshold maxima become null.
+    """Classify one window of frames with model.probs; below-threshold maxima become null.
 
     frames may be shorter than the window (trailing zero padding is masked
     in). The threshold is strict: confidence must exceed it.
     """
     seq = FeatureSequence(tuple(frames))
     sb = assemble_streams(seq, config.window)
-    probs = probability_fn(model)(sb)
+    probs = model.probs(*stack_batches([sb]))[0]
     best = int(np.argmax(probs))
     confidence = float(probs[best])
     word = best if confidence > config.threshold else None

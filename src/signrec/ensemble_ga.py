@@ -29,13 +29,16 @@ from .featurestore import Dataset
 from .metrics import topk_accuracy
 from .model import (
     ModelParams,
+    check_tensors,
     config_from_json,
+    init_tensors,
     label_smooth,
     load_checkpoint,
+    param_shapes,
     save_checkpoint,
 )
-from .preprocess import DEFAULT_T, StreamBatch
-from .train import AdamaxState, Checkpoint, TrainConfig, adamax_step, probability_fn, split_probabilities
+from .preprocess import DEFAULT_T, StreamBatch, stack_batches
+from .train import AdamaxState, Checkpoint, TrainConfig, adamax_step, split_probabilities
 
 GENE_COUNT = 9
 MAX_LAYERS = 8
@@ -253,20 +256,22 @@ class EnsembleParams:
         return EnsembleParams(self.chromosome, self.num_classes, {k: v.copy() for k, v in self.tensors.items()})
 
 
+def _head_shapes(chromosome: Chromosome, num_classes: int) -> dict[str, tuple[int, ...]]:
+    dims = [2 * num_classes, *chromosome.widths, num_classes]
+    names = [f"h{i}" for i in range(chromosome.layer_count)] + ["out"]
+    shapes: dict[str, tuple[int, ...]] = {}
+    for name, d_in, d_out in zip(names, dims, dims[1:]):
+        shapes[f"{name}.W"] = (d_in, d_out)
+        shapes[f"{name}.b"] = (d_out,)
+    return shapes
+
+
 def init_ensemble_params(
     chromosome: Chromosome, num_classes: int, rng: np.random.Generator
 ) -> EnsembleParams:
-    widths = list(chromosome.widths)
-    dims = [2 * num_classes] + widths + [num_classes]
-    t: dict[str, np.ndarray] = {}
-    for i in range(len(widths)):
-        lim = np.sqrt(6.0 / (dims[i] + dims[i + 1]))
-        t[f"h{i}.W"] = rng.uniform(-lim, lim, (dims[i], dims[i + 1]))
-        t[f"h{i}.b"] = np.zeros(dims[i + 1])
-    lim = np.sqrt(6.0 / (dims[-2] + dims[-1]))
-    t["out.W"] = rng.uniform(-lim, lim, (dims[-2], dims[-1]))
-    t["out.b"] = np.zeros(dims[-1])
-    return EnsembleParams(chromosome, num_classes, t)
+    """Glorot-uniform weights and zero biases for the head a chromosome encodes."""
+    tensors = init_tensors(_head_shapes(chromosome, num_classes), rng)
+    return EnsembleParams(chromosome, num_classes, tensors)
 
 
 def _head_forward(params: EnsembleParams, x: np.ndarray, need_cache: bool = False):
@@ -319,22 +324,36 @@ def ensemble_forward(
 
 @dataclass
 class EnsembleClassifier:
-    """Frozen base models plus the trained head; callable on a StreamBatch."""
+    """Frozen base models plus the trained head."""
 
     early: ModelParams
     late: ModelParams
     head: EnsembleParams
 
+    def probs(self, A, B, C, mask, toggles=(True, True, True)) -> np.ndarray:
+        """(N,K) fused class probabilities; the toggles apply to both bases."""
+        pe = self.early.probs(A, B, C, mask, toggles)
+        pl = self.late.probs(A, B, C, mask, toggles)
+        return _head_forward(self.head, np.concatenate([pe, pl], axis=1))[0]
+
     def __call__(self, sb: StreamBatch) -> np.ndarray:
-        pe = probability_fn(self.early)(sb)
-        pl = probability_fn(self.late)(sb)
-        return ensemble_forward(pe, pl, self.head)
+        return self.probs(*stack_batches([sb]))[0]
 
 
-def _stacked_inputs(early, late, records, T, batch_size):
-    pe = split_probabilities(early, records, T, batch_size)
-    pl = split_probabilities(late, records, T, batch_size)
-    return np.concatenate([pe, pl], axis=1)
+def _head_inputs(early: ModelParams, late: ModelParams, dataset: Dataset, T: int, batch_size: int):
+    """(x_train, y_train, x_val, y_val): the bases' (N,2K) outputs and the labels per split."""
+    k = dataset.num_classes
+    if early.config.num_classes != k or late.config.num_classes != k:
+        raise ConfigurationError("base models and dataset disagree on class count")
+    splits = (dataset.split("train"), dataset.split("val"))
+    if not all(splits):
+        raise ConfigurationError("ensemble training needs nonempty train and val splits")
+    out = []
+    for records in splits:
+        pe = split_probabilities(early, records, T, batch_size)
+        pl = split_probabilities(late, records, T, batch_size)
+        out += [np.concatenate([pe, pl], axis=1), np.asarray([r.label_id for r in records])]
+    return out
 
 
 def train_ensemble(
@@ -352,20 +371,17 @@ def train_ensemble(
     with Adamax on label-smoothed cross-entropy. Returns the checkpoint with
     the best validation Top-1 (earliest epoch on ties).
     """
-    train_recs = dataset.split("train")
-    val_recs = dataset.split("val")
-    if not train_recs or not val_recs:
-        raise ConfigurationError("ensemble training needs nonempty train and val splits")
-    k = dataset.num_classes
-    if frozen_early.config.num_classes != k or frozen_late.config.num_classes != k:
-        raise ConfigurationError("base models and dataset disagree on class count")
+    inputs = _head_inputs(frozen_early, frozen_late, dataset, config.sequence_length, config.batch_size)
+    return _fit_head(chromosome, dataset.num_classes, *inputs, config, log_path)
 
-    T = config.sequence_length
-    x_train = _stacked_inputs(frozen_early, frozen_late, train_recs, T, config.batch_size)
-    x_val = _stacked_inputs(frozen_early, frozen_late, val_recs, T, config.batch_size)
-    y_train = np.asarray([r.label_id for r in train_recs])
-    y_val = np.asarray([r.label_id for r in val_recs])
 
+def _fit_head(
+    chromosome, k, x_train, y_train, x_val, y_val, config: TrainConfig, log_path=None
+) -> Checkpoint:
+    """Adamax on label-smoothed cross-entropy over precomputed (N,2K) base outputs.
+
+    Returns the checkpoint with the best validation Top-1, earliest epoch on ties.
+    """
     init_rng, shuffle_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(2)
     )
@@ -430,52 +446,23 @@ def make_ensemble_fitness(
     T: int = DEFAULT_T,
     batch_size: int = 32,
 ) -> Callable[[Chromosome], float]:
-    """Fitness for the GA: reduced-epoch head training, exp(val% / 2.5).
+    """Fitness for the GA: exp(val% / 2.5) of the head that train_ensemble
+    gives under ensemble_train_config(budget_epochs, seed, batch_size=batch_size).
 
     Base-model outputs are computed once up front and shared across all
     candidate evaluations; results are memoized per chromosome so the elite
     is not retrained every generation. The returned function is deterministic.
     """
-    train_recs = dataset.split("train")
-    val_recs = dataset.split("val")
-    if not train_recs or not val_recs:
-        raise ConfigurationError("fitness evaluation needs nonempty train and val splits")
-    k = dataset.num_classes
-    x_train = _stacked_inputs(frozen_early, frozen_late, train_recs, T, batch_size)
-    x_val = _stacked_inputs(frozen_early, frozen_late, val_recs, T, batch_size)
-    y_train = np.asarray([r.label_id for r in train_recs])
-    y_val = np.asarray([r.label_id for r in val_recs])
-    eye = np.eye(k)
+    inputs = _head_inputs(frozen_early, frozen_late, dataset, T, batch_size)
+    config = ensemble_train_config(budget_epochs, seed, batch_size=batch_size)
     memo: dict[tuple[int, ...], float] = {}
 
     def fitness_fn(chromosome: Chromosome) -> float:
         key = chromosome.genes
-        if key in memo:
-            return memo[key]
-        init_rng, shuffle_rng = (
-            np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)
-        )
-        params = init_ensemble_params(chromosome, k, init_rng)
-        state = AdamaxState.zeros(params.tensors)
-        step = 0
-        best_top1 = 0.0
-        for _ in range(budget_epochs):
-            order = shuffle_rng.permutation(len(x_train))
-            for i in range(0, len(order), batch_size):
-                chunk = order[i : i + batch_size]
-                targets = label_smooth(eye[y_train[chunk]])
-                probs, last_h, cache = _head_forward(params, x_train[chunk], need_cache=True)
-                dprobs = np.where(probs > 1e-12, -targets / np.maximum(probs, 1e-12), 0.0) / len(chunk)
-                grads = _head_backward(params, probs, last_h, cache, dprobs)
-                step += 1
-                params.tensors, state = adamax_step(
-                    params.tensors, grads, state, step, ENSEMBLE_LR, ENSEMBLE_WD
-                )
-            val_probs, _, _ = _head_forward(params, x_val)
-            best_top1 = max(best_top1, topk_accuracy(val_probs, y_val, 1))
-        result = fitness(100.0 * best_top1)
-        memo[key] = result
-        return result
+        if key not in memo:
+            head = _fit_head(chromosome, dataset.num_classes, *inputs, config)
+            memo[key] = fitness(100.0 * head.val_top1)
+        return memo[key]
 
     return fitness_fn
 
@@ -511,9 +498,18 @@ def load_ensemble(path) -> tuple[EnsembleClassifier, dict]:
         if prefix not in groups:
             raise FormatError(f"{path}: unknown tensor {name!r} in ensemble checkpoint")
         groups[prefix][rest] = arr
-    early = ModelParams(config_from_json(config_doc["early"]), groups["early"])
-    late = ModelParams(config_from_json(config_doc["late"]), groups["late"])
-    head = EnsembleParams(
-        Chromosome(tuple(config_doc["chromosome"])), int(config_doc["num_classes"]), groups["head"]
-    )
-    return EnsembleClassifier(early, late, head), meta
+    try:
+        early_cfg = config_from_json(config_doc["early"])
+        late_cfg = config_from_json(config_doc["late"])
+        chromosome = Chromosome(tuple(config_doc["chromosome"]))
+        k = int(config_doc["num_classes"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: bad ensemble config: {exc!r}") from exc
+    if early_cfg.num_classes != k or late_cfg.num_classes != k:
+        raise FormatError(f"{path}: base models and head disagree on class count")
+    check_tensors(path, groups["early"], param_shapes(early_cfg))
+    check_tensors(path, groups["late"], param_shapes(late_cfg))
+    check_tensors(path, groups["head"], _head_shapes(chromosome, k))
+    early = ModelParams(early_cfg, groups["early"])
+    late = ModelParams(late_cfg, groups["late"])
+    return EnsembleClassifier(early, late, EnsembleParams(chromosome, k, groups["head"])), meta

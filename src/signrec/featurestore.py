@@ -179,6 +179,13 @@ def load_record(path) -> FeatureSequence:
     if len(buf) != expected:
         raise CorruptRecordError(f"{path}: expected {expected} bytes, found {len(buf)}")
     payload = np.frombuffer(buf, dtype=_FRAME_DTYPE, count=n, offset=_HEADER.size)
+    for field in ("hand", "arm", "lip"):
+        if not np.isfinite(payload[field]).all():
+            raise CorruptRecordError(f"{path}: non-finite value in {field}")
+    # save_record writes zeros for an absent hand, so every center slot is checked
+    centers = np.stack([payload[f] for f in ("cx0", "cy0", "cx1", "cy1")])
+    if not ((centers >= 0.0) & (centers <= 1.0)).all():
+        raise CorruptRecordError(f"{path}: hand center outside [0,1] or not finite")
     frames = []
     for row in payload:
         centers = []
@@ -275,7 +282,7 @@ class DatasetManifest:
                     dims.get("lip_shape", LIP_DIM),
                 ),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed manifest: {exc}") from exc
 
     def save(self, path) -> None:

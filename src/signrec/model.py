@@ -176,6 +176,10 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
 
+    def probs(self, A, B, C, mask, toggles=(True, True, True)) -> np.ndarray:
+        """(N,K) class probabilities of (N,T,dim) streams under an (N,T) mask."""
+        return forward_batch(self, A, B, C, mask, toggles=toggles)[0]
+
 
 # ---------------------------------------------------------------------------
 # Initialization
@@ -186,27 +190,24 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     return rng.uniform(-lim, lim, (fan_in, fan_out))
 
 
-def _init_block(rng, prefix: str, enc: EncoderConfig, out: dict) -> None:
-    d = enc.d_model
+def _block_shapes(prefix: str, enc: EncoderConfig, out: dict) -> None:
+    d, f = enc.d_model, enc.ffn_width
     for i in range(enc.blocks):
         p = f"{prefix}.{i}"
         for name in ("Wq", "Wk", "Wv", "Wo"):
-            out[f"{p}.attn.{name}"] = _glorot(rng, d, d)
-        for name in ("bq", "bk", "bv", "bo"):
-            out[f"{p}.attn.{name}"] = np.zeros(d)
-        out[f"{p}.ln1.g"] = np.ones(d)
-        out[f"{p}.ln1.b"] = np.zeros(d)
-        out[f"{p}.ffn.W1"] = _glorot(rng, d, enc.ffn_width)
-        out[f"{p}.ffn.b1"] = np.zeros(enc.ffn_width)
-        out[f"{p}.ffn.W2"] = _glorot(rng, enc.ffn_width, d)
-        out[f"{p}.ffn.b2"] = np.zeros(d)
-        out[f"{p}.ln2.g"] = np.ones(d)
-        out[f"{p}.ln2.b"] = np.zeros(d)
+            out[f"{p}.attn.{name}"] = (d, d)
+        for name in ("attn.bq", "attn.bk", "attn.bv", "attn.bo", "ln1.g", "ln1.b"):
+            out[f"{p}.{name}"] = (d,)
+        out[f"{p}.ffn.W1"] = (d, f)
+        out[f"{p}.ffn.b1"] = (f,)
+        out[f"{p}.ffn.W2"] = (f, d)
+        for name in ("ffn.b2", "ln2.g", "ln2.b"):
+            out[f"{p}.{name}"] = (d,)
 
 
-def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
-    """Glorot-uniform weights, zero biases, identity layer norms."""
-    t: dict[str, np.ndarray] = {}
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter tensor, in init_params' draw order."""
+    s: dict[str, tuple[int, ...]] = {}
     if isinstance(config, LateFusionConfig):
         encs = config.encoders()
         for name, in_dim, d in (
@@ -214,22 +215,46 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
             ("b", STREAM_B_DIM, config.d_b),
             ("c", STREAM_C_DIM, config.d_c),
         ):
-            t[f"{name}.proj.W"] = _glorot(rng, in_dim, d)
-            t[f"{name}.proj.b"] = np.zeros(d)
-            _init_block(rng, name, encs[name], t)
-        _init_block(rng, "f", encs["f"], t)
+            s[f"{name}.proj.W"] = (in_dim, d)
+            s[f"{name}.proj.b"] = (d,)
+            _block_shapes(name, encs[name], s)
+        _block_shapes("f", encs["f"], s)
         pooled_dim = config.d_fused
     else:
-        in_dim = STREAM_A_DIM + STREAM_B_DIM + STREAM_C_DIM
-        t["f.proj.W"] = _glorot(rng, in_dim, config.d_model)
-        t["f.proj.b"] = np.zeros(config.d_model)
-        _init_block(rng, "f", config.encoder(), t)
+        s["f.proj.W"] = (STREAM_A_DIM + STREAM_B_DIM + STREAM_C_DIM, config.d_model)
+        s["f.proj.b"] = (config.d_model,)
+        _block_shapes("f", config.encoder(), s)
         pooled_dim = config.d_model
-    t["head.cls.W"] = _glorot(rng, pooled_dim, config.num_classes)
-    t["head.cls.b"] = np.zeros(config.num_classes)
-    t["head.emb.W"] = _glorot(rng, pooled_dim, config.embed_dim)
-    t["head.emb.b"] = np.zeros(config.embed_dim)
-    return ModelParams(config, t)
+    s["head.cls.W"] = (pooled_dim, config.num_classes)
+    s["head.cls.b"] = (config.num_classes,)
+    s["head.emb.W"] = (pooled_dim, config.embed_dim)
+    s["head.emb.b"] = (config.embed_dim,)
+    return s
+
+
+def init_tensors(shapes: dict, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Glorot-uniform matrices drawn in the order given, zero vectors, unit layer-norm gains."""
+    return {
+        name: _glorot(rng, *shape) if len(shape) == 2
+        else np.ones(shape) if name.endswith(".g") else np.zeros(shape)
+        for name, shape in shapes.items()
+    }
+
+
+def check_tensors(path, tensors: dict, shapes: dict) -> None:
+    """Raise FormatError unless tensors holds exactly the named shapes."""
+    if tensors.keys() != shapes.keys():
+        missing = sorted(shapes.keys() - tensors.keys())
+        unexpected = sorted(tensors.keys() - shapes.keys())
+        raise FormatError(f"{path}: tensors missing {missing}, unexpected {unexpected}")
+    for name, shape in shapes.items():
+        if tensors[name].shape != shape:
+            raise FormatError(f"{path}: tensor {name} has shape {tensors[name].shape}, expected {shape}")
+
+
+def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
+    """Glorot-uniform weights, zero biases, identity layer norms."""
+    return ModelParams(config, init_tensors(param_shapes(config), rng))
 
 
 # ---------------------------------------------------------------------------
@@ -750,4 +775,6 @@ def save_model(path, params: ModelParams, meta: Optional[dict] = None) -> None:
 
 def load_model(path) -> tuple[ModelParams, dict]:
     config_doc, tensors, meta = load_checkpoint(path)
-    return ModelParams(config_from_json(config_doc), tensors), meta
+    config = config_from_json(config_doc)
+    check_tensors(path, tensors, param_shapes(config))
+    return ModelParams(config, tensors), meta

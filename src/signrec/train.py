@@ -12,7 +12,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
@@ -23,13 +23,11 @@ from .model import (
     EarlyFusionConfig,
     LateFusionConfig,
     ModelConfig,
-    ModelParams,
-    forward_batch,
     init_params,
     label_smooth,
     loss_and_grads,
 )
-from .preprocess import DEFAULT_T, StreamBatch, assemble_streams, stack_batches
+from .preprocess import DEFAULT_T, assemble_streams, stack_batches
 
 # Fixed seed for evaluation-time length normalization; never used for training.
 EVAL_SEED = 9973
@@ -124,29 +122,8 @@ def adamax_step(
 
 
 # ---------------------------------------------------------------------------
-# Prediction helpers shared with the decoder and the ensemble
-
-ProbFn = Callable[[StreamBatch], np.ndarray]
-
-
-def probability_fn(model) -> ProbFn:
-    """Adapt ModelParams (or any callable StreamBatch -> probs) to a ProbFn."""
-    if isinstance(model, ModelParams):
-
-        def fn(sb: StreamBatch) -> np.ndarray:
-            probs, _, _ = forward_batch(
-                model,
-                sb.stream_a[None].astype(np.float64),
-                sb.stream_b[None].astype(np.float64),
-                sb.stream_c[None].astype(np.float64),
-                sb.mask[None],
-            )
-            return probs[0]
-
-        return fn
-    if callable(model):
-        return model
-    raise ConfigurationError(f"cannot build a probability function from {type(model)!r}")
+# Prediction over record lists. A model is anything with a batched
+# probs(A, B, C, mask, toggles) -> (N,K) method: ModelParams or EnsembleClassifier.
 
 
 def split_probabilities(
@@ -163,15 +140,12 @@ def split_probabilities(
     """
     rng = np.random.default_rng(EVAL_SEED)
     batches = [assemble_streams(r, T, rng) for r in records]
-    if isinstance(model, ModelParams):
-        chunks = []
-        for i in range(0, len(batches), batch_size):
-            a, b, c, m = stack_batches(batches[i : i + batch_size])
-            probs, _, _ = forward_batch(model, a, b, c, m, toggles=toggles)
-            chunks.append(probs)
-        return np.concatenate(chunks)
-    fn = probability_fn(model)
-    return np.stack([fn(sb) for sb in batches])
+    return np.concatenate(
+        [
+            model.probs(*stack_batches(batches[i : i + batch_size]), toggles)
+            for i in range(0, len(batches), batch_size)
+        ]
+    )
 
 
 def evaluate(
@@ -180,52 +154,26 @@ def evaluate(
     T: int = DEFAULT_T,
     toggles: tuple[bool, bool, bool] = (True, True, True),
 ) -> tuple[float, float, np.ndarray, float]:
-    """(top1, top5, confusion matrix, mean per-record latency in seconds).
+    """(top1, top5, confusion matrix, mean latency per record in seconds).
 
-    model is ModelParams or a callable StreamBatch -> probs. Records are
-    classified one at a time so the latency estimate reflects single-word
-    prediction cost; length normalization uses the fixed evaluation seed.
+    Records are scored by split_probabilities in batches of 32, so the
+    latency is per record amortized over those batches, stream assembly
+    included; length normalization uses the fixed evaluation seed.
     """
     records = list(split)
     if not records:
         raise ValueError("evaluate needs a nonempty split")
-    labels = []
-    for r in records:
-        if r.label_id is None:
-            raise ValueError("evaluate needs labeled records")
-        labels.append(r.label_id)
-    labels = np.asarray(labels)
-
-    if isinstance(model, ModelParams):
-
-        def fn(sb: StreamBatch) -> np.ndarray:
-            probs, _, _ = forward_batch(
-                model,
-                sb.stream_a[None].astype(np.float64),
-                sb.stream_b[None].astype(np.float64),
-                sb.stream_c[None].astype(np.float64),
-                sb.mask[None],
-                toggles=toggles,
-            )
-            return probs[0]
-
-    else:
-        fn = probability_fn(model)
-
-    rng = np.random.default_rng(EVAL_SEED)
-    rows = []
-    elapsed = 0.0
-    for rec in records:
-        start = time.perf_counter()
-        sb = assemble_streams(rec, T, rng)
-        rows.append(fn(sb))
-        elapsed += time.perf_counter() - start
-    probs = np.stack(rows)
+    if any(r.label_id is None for r in records):
+        raise ValueError("evaluate needs labeled records")
+    labels = np.asarray([r.label_id for r in records])
+    start = time.perf_counter()
+    probs = split_probabilities(model, records, T, toggles=toggles)
+    latency = (time.perf_counter() - start) / len(records)
     top1 = topk_accuracy(probs, labels, 1)
     top5 = topk_accuracy(probs, labels, 5)
     preds = probs.argmax(axis=1)
     conf = confusion_matrix(preds, labels, probs.shape[1])
-    return top1, top5, conf, elapsed / len(records)
+    return top1, top5, conf, latency
 
 
 # ---------------------------------------------------------------------------

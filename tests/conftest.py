@@ -9,6 +9,7 @@ import pytest
 
 from signrec.featurestore import generate_synthetic_dataset
 from signrec.model import EarlyFusionConfig, LateFusionConfig
+from signrec.preprocess import StreamBatch
 
 TINY_T = 12
 
@@ -64,3 +65,13 @@ def random_stream_batch(rng, n=2, T=8, pad=2):
         b[~mask] = 0.0
         c[~mask] = 0.0
     return a, b, c, mask
+
+
+class RowwiseModel:
+    """Fake model for the probs protocol: fn(StreamBatch) -> (K,) applied row by row."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def probs(self, A, B, C, mask, toggles=(True, True, True)):
+        return np.stack([self.fn(StreamBatch(*row)) for row in zip(A, B, C, mask)])

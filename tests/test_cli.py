@@ -12,7 +12,8 @@ import pytest
 
 from signrec.cli import main
 from signrec.ensemble_ga import load_ensemble
-from signrec.errors import FormatError
+from signrec.errors import CorruptRecordError, FormatError
+from signrec.featurestore import load_dataset
 from signrec.model import load_model
 
 
@@ -220,6 +221,15 @@ def test_corrupt_record_exits_2(pipeline, tmp_path, capsys):
     assert "bad magic" in capsys.readouterr().err
 
 
+def _rewrite_header(src, dst, edit):
+    raw = src.read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw)
+    header = json.loads(raw[4 : 4 + hlen])
+    edit(header)
+    text = json.dumps(header).encode()
+    dst.write_bytes(struct.pack("<I", len(text)) + text + raw[4 + hlen :])
+
+
 def _drop(key):
     return lambda header: header["tensors"][0].pop(key)
 
@@ -237,13 +247,8 @@ def _drop(key):
     ids=["no-tensors", "no-name", "no-shape", "no-offset", "negative-dim", "unknown-prefix"],
 )
 def test_malformed_checkpoint_header_exits_2(pipeline, tmp_path, capsys, source, edit):
-    raw = (pipeline["root"] / source).read_bytes()
-    (hlen,) = struct.unpack_from("<I", raw)
-    header = json.loads(raw[4 : 4 + hlen])
-    edit(header)
-    text = json.dumps(header).encode()
     bad = tmp_path / source
-    bad.write_bytes(struct.pack("<I", len(text)) + text + raw[4 + hlen :])
+    _rewrite_header(pipeline["root"] / source, bad, edit)
     with pytest.raises(FormatError):
         (load_ensemble if source == "ens.ckpt" else load_model)(bad)
     rc = run(
@@ -252,6 +257,72 @@ def test_malformed_checkpoint_header_exits_2(pipeline, tmp_path, capsys, source,
     )
     assert rc == 2
     assert str(bad) in capsys.readouterr().err
+
+
+def _patch_record(offset, fmt, value):
+    """Edit that packs value at offset into the first record file of a dataset."""
+
+    def edit(data):
+        path = sorted((data / "records").glob("*.slf"))[0]
+        raw = bytearray(path.read_bytes())
+        struct.pack_into(fmt, raw, offset, value)
+        path.write_bytes(bytes(raw))
+
+    return edit
+
+
+def _center_outside(data):
+    # frame 0 starts after the 20-byte header; its left-hand presence byte
+    # and (cx, cy) follow the 1032 bytes of f32 features
+    _patch_record(20 + 1032, "<B", 1)(data)
+    _patch_record(20 + 1033, "<f", 1.5)(data)
+
+
+def _label_not_int(data):
+    doc = json.loads((data / "manifest.json").read_text())
+    doc["records"][0]["label"] = "x"
+    (data / "manifest.json").write_text(json.dumps(doc))
+
+
+def _tensor(header, name):
+    return next(t for t in header["tensors"] if t["name"] == name)
+
+
+@pytest.mark.parametrize(
+    "source, edit, error",
+    [
+        ("data", _center_outside, CorruptRecordError),
+        ("data", _patch_record(20, "<f", float("nan")), CorruptRecordError),
+        ("data", _patch_record(20 + 1033, "<f", float("inf")), CorruptRecordError),
+        ("data", _label_not_int, FormatError),
+        ("late.ckpt", lambda h: h["tensors"].remove(_tensor(h, "a.proj.W")), FormatError),
+        ("late.ckpt", lambda h: _tensor(h, "head.cls.b").update(shape=[3]), FormatError),
+        ("ens.ckpt", lambda h: h["config"].update(chromosome=[1, 9] + [0] * 7), FormatError),
+    ],
+    ids=[
+        "center-outside", "nan-feature", "inf-center", "label-not-int",
+        "missing-tensor", "short-tensor", "head-width",
+    ],
+)
+def test_malformed_input_exits_2(pipeline, tmp_path, source, edit, error):
+    root = pipeline["root"]
+    data, model = pipeline["data"], root / "late.ckpt"
+    if source == "data":
+        data = tmp_path / "data"
+        shutil.copytree(pipeline["data"], data)
+        edit(data)
+        load = lambda: load_dataset(data / "manifest.json")
+    else:
+        model = tmp_path / source
+        _rewrite_header(root / source, model, edit)
+        load = lambda: (load_ensemble if source == "ens.ckpt" else load_model)(model)
+    with pytest.raises(error):
+        load()
+    rc = run(
+        "eval", "--data", data / "manifest.json", "--model", model,
+        "--split", "test", "--out", tmp_path / "m.json",
+    )
+    assert rc == 2
 
 
 @pytest.mark.parametrize("text", ["3,10,20", "10,1,2,3,4,5,6,7,8,9", "2,a,b", ""])

@@ -20,6 +20,7 @@ from signrec.decoder import (
     windows,
 )
 from signrec.featurestore import ARM_DIM, HAND_DIM, LIP_DIM, FeatureSequence, FrameFeatures
+from conftest import RowwiseModel
 
 
 def flat_sequence(n):
@@ -32,7 +33,7 @@ def flat_sequence(n):
 
 
 def scripted_model(prob_rows):
-    """Callable model that replays a fixed list of probability vectors."""
+    """Model that replays a fixed list of probability vectors, one per window."""
     state = {"i": 0}
 
     def fn(sb):
@@ -40,7 +41,7 @@ def scripted_model(prob_rows):
         state["i"] += 1
         return np.asarray(row, dtype=np.float64)
 
-    return fn
+    return RowwiseModel(fn)
 
 
 def dist(k, winner, p):

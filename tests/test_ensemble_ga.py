@@ -30,6 +30,7 @@ from signrec.ensemble_ga import (
     uniform_crossover,
 )
 from signrec.model import LateFusionConfig, EarlyFusionConfig, init_params
+from signrec.preprocess import StreamBatch
 from signrec.train import evaluate
 from conftest import TINY_T, random_stream_batch
 
@@ -346,8 +347,6 @@ def test_ensemble_classifier_and_checkpoint_roundtrip(tmp_path, tiny_dataset):
     assert meta["note"] == "tiny"
     rng = np.random.default_rng(23)
     a, b, c, mask = random_stream_batch(rng, n=1, T=TINY_T, pad=2)
-    from signrec.preprocess import StreamBatch
-
     sb = StreamBatch(a[0], b[0], c[0], mask[0])
     # f32 checkpoint quantization shifts probabilities a hair
     npt.assert_allclose(back(sb), clf(sb), atol=1e-5)
@@ -372,3 +371,29 @@ def test_make_ensemble_fitness_memoizes(tiny_dataset):
     first = fn(c)
     assert first == fn(Chromosome(c.genes))
     assert first >= 1.0  # exp of a percentage is at least e^0
+
+
+def test_ensemble_probs_match_row_by_row(tiny_dataset):
+    early, late = tiny_bases(tiny_dataset)
+    head = init_ensemble_params(chrom(2, 12, 8), 4, np.random.default_rng(24))
+    clf = EnsembleClassifier(early, late, head)
+    a, b, c, mask = random_stream_batch(np.random.default_rng(25), n=5, T=TINY_T, pad=0)
+    for i, real in enumerate((TINY_T, 1, 7, TINY_T - 1, 3)):  # mixed padding
+        mask[i, real:] = False
+        for s in (a, b, c):
+            s[i, real:] = 0.0
+    batched = clf.probs(a, b, c, mask)
+    rows = np.stack([clf(StreamBatch(*row)) for row in zip(a, b, c, mask)])
+    assert batched.shape == (5, 4)
+    npt.assert_allclose(batched, rows, rtol=0, atol=1e-12)
+
+
+def test_fitness_equals_train_ensemble(tiny_dataset):
+    early, late = tiny_bases(tiny_dataset)
+    fn = make_ensemble_fitness(
+        tiny_dataset, early, late, budget_epochs=3, seed=4, T=TINY_T, batch_size=5
+    )
+    for c in (chrom(1, 6), chrom(2, 300, 300)):  # the wide head is sensitive to every setting
+        config = ensemble_train_config(3, 4, batch_size=5, sequence_length=TINY_T)
+        head = train_ensemble(early, late, c, tiny_dataset, config)
+        assert fn(c) == fitness(100 * head.val_top1)

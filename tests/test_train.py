@@ -15,11 +15,10 @@ from signrec.train import (
     TrainConfig,
     adamax_step,
     evaluate,
-    probability_fn,
     split_probabilities,
     train_model,
 )
-from conftest import TINY_T, random_stream_batch
+from conftest import TINY_T, RowwiseModel, random_stream_batch
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +212,8 @@ def test_evaluate_perfect_centroid_stub(tiny_dataset):
         probs[int(np.argmin(d))] = 1.0
         return probs
 
-    top1, top5, confusion, latency = evaluate(stub, tiny_dataset.split("test"), T=TINY_T)
+    model = RowwiseModel(stub)
+    top1, top5, confusion, latency = evaluate(model, tiny_dataset.split("test"), T=TINY_T)
     assert top1 == 1.0 and top5 == 1.0
     assert latency > 0.0
     npt.assert_array_equal(confusion, np.diag([3, 3, 3, 3]))
@@ -221,7 +221,7 @@ def test_evaluate_perfect_centroid_stub(tiny_dataset):
 
 def test_evaluate_uniform_stub(tiny_dataset):
     records = tiny_dataset.split("val")
-    stub = lambda sb: np.full(4, 0.25)
+    stub = RowwiseModel(lambda sb: np.full(4, 0.25))
     top1, top5, confusion, _ = evaluate(stub, records, T=TINY_T)
     labels = np.array([r.label_id for r in records])
     # deterministic tie-break: lowest class index wins
@@ -237,7 +237,7 @@ def test_evaluate_random_stub_statistics(eval_dataset):
     hits1, hits5, n = 0.0, 0.0, 0
     for seed in range(10):
         stub_rng = np.random.default_rng(seed)
-        stub = lambda sb: (lambda v: v / v.sum())(stub_rng.random(10) + 1e-9)
+        stub = RowwiseModel(lambda sb: (lambda v: v / v.sum())(stub_rng.random(10) + 1e-9))
         top1, top5, _, _ = evaluate(stub, records, T=TINY_T)
         assert top1 <= top5
         hits1 += top1 * len(records)
@@ -249,15 +249,14 @@ def test_evaluate_random_stub_statistics(eval_dataset):
 
 
 def test_evaluate_argument_errors(tiny_dataset):
+    stub = RowwiseModel(lambda sb: np.full(4, 0.25))
     with pytest.raises(ValueError):
-        evaluate(lambda sb: np.full(4, 0.25), [], T=TINY_T)
+        evaluate(stub, [], T=TINY_T)
     from signrec.featurestore import FeatureSequence
 
     unlabeled = FeatureSequence(tiny_dataset.sequences[0].frames)
     with pytest.raises(ValueError):
-        evaluate(lambda sb: np.full(4, 0.25), [unlabeled], T=TINY_T)
-    with pytest.raises(ConfigurationError):
-        probability_fn(42)
+        evaluate(stub, [unlabeled], T=TINY_T)
 
 
 def test_split_probabilities_deterministic(tiny_dataset, tiny_late_config):
@@ -267,7 +266,6 @@ def test_split_probabilities_deterministic(tiny_dataset, tiny_late_config):
     p2 = split_probabilities(params, records, T=TINY_T)
     npt.assert_array_equal(p1, p2)
     assert p1.shape == (len(records), 4)
-    # batched path agrees with the one-record callable path
-    fn = probability_fn(params)
-    p3 = split_probabilities(fn, records, T=TINY_T)
+    # batches of 32 agree with one record at a time
+    p3 = split_probabilities(params, records, T=TINY_T, batch_size=1)
     npt.assert_allclose(p1, p3, rtol=1e-12)
