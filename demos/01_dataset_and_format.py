@@ -23,10 +23,11 @@ print(f"signer-disjoint splits: {counts}")
 
 seq = dataset.sequences[0]
 print(f"\nfirst record: gloss={seq.gloss!r} label={seq.label_id} signer={seq.signer_id} "
-      f"frames={len(seq.frames)}")
-f0 = seq.frames[0]
-print(f"frame 0 dims: hand {f0.hand_shape.shape}, arm {f0.arm_points.shape}, "
-      f"lip {f0.lip_shape.shape}, centers {f0.hand_centers}")
+      f"frames={len(seq)}")
+print(f"arrays: hand {seq.hand.shape}, arm {seq.arm.shape}, lip {seq.lip.shape}, "
+      f"centers {seq.centers.shape}, present {seq.present.shape}")
+print(f"frame 0 centers (left, right): {seq.centers[0].tolist()}, present {seq.present[0].tolist()}")
+print(f"frames with a hand not detected: {int((~seq.present).any(axis=1).sum())} of {len(seq)}")
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "word.slf"
@@ -36,8 +37,4 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"\nheader: magic={magic} version={version} flags={flags:#x} "
           f"frames={n} label={label} signer={signer}  ({len(raw)} bytes total)")
     back = load_record(path)
-    same = all(
-        (a.hand_shape == b.hand_shape).all() and a.hand_centers == b.hand_centers
-        for a, b in zip(seq.frames, back.frames)
-    )
-    print(f"round-trip identical: {same}")
+    print(f"round-trip identical: {back == seq}")

@@ -35,7 +35,7 @@ config = DecodeConfig(window=40, step=5, threshold=0.2)
 
 seq, reference = sentences[0]
 trace = decode_trace(classifier, seq, config)
-print(f"\nfirst sentence: {len(seq.frames)} frames, reference {reference}")
+print(f"\nfirst sentence: {len(seq)} frames, reference {reference}")
 print(f"{'start':>6}  {'word':>5}  conf")
 for p in trace.predictions:
     word = "-" if p.word is None else p.word

@@ -36,7 +36,7 @@ from .featurestore import (
     write_dataset,
 )
 from .metrics import format_sentence_report, sentence_report
-from .model import load_checkpoint, load_model, save_model
+from .model import _build_model, load_checkpoint, load_model, save_model
 from .train import TrainConfig, evaluate, train_model
 
 _CONFIG_ERRORS = (
@@ -140,11 +140,10 @@ def _dataset(path):
 
 def _load_predictor(path):
     """Model checkpoint of either kind -> (predictor, kind string)."""
-    config_doc, _, _ = load_checkpoint(path)
+    config_doc, tensors, _ = load_checkpoint(path)
     if config_doc.get("arch") == "ensemble":
-        classifier, _ = eg.load_ensemble(path)
-        return classifier, "ensemble"
-    params, _ = load_model(path)
+        return eg._build_ensemble(path, config_doc, tensors), "ensemble"
+    params = _build_model(path, config_doc, tensors)
     return params, params.config.arch
 
 
@@ -306,14 +305,16 @@ def cmd_decode(args) -> None:
         index = json.loads(index_path.read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"{index_path}: not valid JSON: {exc}") from exc
+    try:
+        paths = [index_path.parent / entry["path"] for entry in index["sentences"]]
+        references = [[int(w) for w in entry["reference"]] for entry in index["sentences"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{index_path}: malformed sentence index: {exc!r}") from exc
     decodes = []
-    references = []
     traces = []
-    for entry in index["sentences"]:
-        seq = load_record(index_path.parent / entry["path"])
-        trace = dec.decode_trace(predictor, seq, config)
+    for path in paths:
+        trace = dec.decode_trace(predictor, load_record(path), config)
         decodes.append((list(trace.accepted_words), list(trace.accepted_confidences), trace.mean_confidence))
-        references.append(entry["reference"])
         traces.append(trace)
     report = sentence_report(decodes, references)
     report["model"] = kind

@@ -64,14 +64,15 @@ def windows(seq_len: int, config: DecodeConfig) -> list[int]:
     return list(range(0, seq_len - config.window + 1, config.step))
 
 
-def classify_window(model, frames: Sequence, config: DecodeConfig, start: int = 0) -> WindowPrediction:
+def classify_window(
+    model, window: FeatureSequence, config: DecodeConfig, start: int = 0
+) -> WindowPrediction:
     """Classify one window of frames with model.probs; below-threshold maxima become null.
 
-    frames may be shorter than the window (trailing zero padding is masked
-    in). The threshold is strict: confidence must exceed it.
+    window may be shorter than config.window (trailing zero padding is
+    masked in). The threshold is strict: confidence must exceed it.
     """
-    seq = FeatureSequence(tuple(frames))
-    sb = assemble_streams(seq, config.window)
+    sb = assemble_streams(window, config.window)
     probs = model.probs(*stack_batches([sb]))[0]
     best = int(np.argmax(probs))
     confidence = float(probs[best])
@@ -99,11 +100,15 @@ def accept_stream(preds: Sequence[WindowPrediction]) -> tuple[list[int], list[fl
 
 
 def decode_trace(model, seq: FeatureSequence, config: DecodeConfig = DecodeConfig()) -> DecodeTrace:
-    """Full decoding trace: every window prediction plus the accepted words."""
+    """Full decoding trace: every window prediction plus the accepted words.
+
+    Each window is a fresh record over a slice of seq's arrays, so hand
+    tracking starts over at every window start.
+    """
     preds = []
     for start in windows(len(seq), config):
-        frames = seq.frames[start : start + config.window]
-        preds.append(classify_window(model, frames, config, start))
+        window = FeatureSequence(*(a[start : start + config.window] for a in seq.arrays()))
+        preds.append(classify_window(model, window, config, start))
     words, confs = accept_stream(preds)
     return DecodeTrace(tuple(preds), tuple(words), tuple(confs))
 

@@ -490,6 +490,11 @@ def save_ensemble(path, classifier: EnsembleClassifier, meta: Optional[dict] = N
 
 def load_ensemble(path) -> tuple[EnsembleClassifier, dict]:
     config_doc, tensors, meta = load_checkpoint(path)
+    return _build_ensemble(path, config_doc, tensors), meta
+
+
+def _build_ensemble(path, config_doc: dict, tensors: dict[str, np.ndarray]) -> EnsembleClassifier:
+    """EnsembleClassifier from a parsed checkpoint, tensors checked against the config."""
     if config_doc.get("arch") != "ensemble":
         raise ConfigurationError(f"{path} is not an ensemble checkpoint")
     groups: dict[str, dict[str, np.ndarray]] = {"early": {}, "late": {}, "head": {}}
@@ -512,4 +517,4 @@ def load_ensemble(path) -> tuple[EnsembleClassifier, dict]:
     check_tensors(path, groups["head"], _head_shapes(chromosome, k))
     early = ModelParams(early_cfg, groups["early"])
     late = ModelParams(late_cfg, groups["late"])
-    return EnsembleClassifier(early, late, EnsembleParams(chromosome, k, groups["head"])), meta
+    return EnsembleClassifier(early, late, EnsembleParams(chromosome, k, groups["head"]))

@@ -1,12 +1,13 @@
 """Feature records, the .slf container format, manifests, and synthetic data.
 
-A record is a variable-length sequence of per-frame feature vectors:
-hand shape (126 values), arm points (12), lip shape (120), plus optional
-normalized hand-center coordinates used for the distance/angle stream.
-Records live on disk as little-endian binary .slf files referenced from a
-JSON manifest; an all-zero sub-vector is the canonical "feature unavailable"
-encoding. A seeded synthetic generator stands in for recorded data so the
-full pipeline can be exercised end to end.
+A record (FeatureSequence) holds its n frames as row-aligned arrays: hand
+shape (n x 126), arm points (n x 12) and lip shape (n x 120) as float32,
+plus each hand's normalized image center (n x 2 x 2) and a detection mask
+(n x 2) that feed the distance/angle stream. Records live on disk as
+little-endian binary .slf files referenced from a JSON manifest, and load
+with one np.frombuffer; an all-zero sub-vector is the canonical "feature
+unavailable" encoding. A seeded synthetic generator stands in for recorded
+data so the full pipeline can be exercised end to end.
 """
 
 from __future__ import annotations
@@ -42,97 +43,60 @@ _FRAME_DTYPE = np.dtype(
         ("arm", "<f4", (ARM_DIM,)),
         ("lip", "<f4", (LIP_DIM,)),
         ("p0", "u1"),
-        ("cx0", "<f4"),
-        ("cy0", "<f4"),
+        ("c0", "<f4", (2,)),
         ("p1", "u1"),
-        ("cx1", "<f4"),
-        ("cy1", "<f4"),
+        ("c1", "<f4", (2,)),
     ]
 )
-
-Center = Optional[tuple[float, float]]
-
-
-def _as_f32(values, dim: int, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float32).reshape(-1)
-    if arr.shape != (dim,):
-        raise ValueError(f"{name} must have exactly {dim} values, got {arr.shape}")
-    return arr
-
-
-def _check_center(center: Center, name: str) -> Center:
-    if center is None:
-        return None
-    # stored as f32 on disk; coerce up front so round-trips are bit-exact
-    cx, cy = float(np.float32(center[0])), float(np.float32(center[1]))
-    if not (0.0 <= cx <= 1.0 and 0.0 <= cy <= 1.0):
-        raise ValueError(f"{name} center {center!r} outside [0,1]^2")
-    return (cx, cy)
-
-
-@dataclass(frozen=True)
-class FrameFeatures:
-    """One frame of extracted features.
-
-    hand_centers holds the normalized image coordinates of each hand's
-    bounding region center, (left, right); None means the hand was not
-    detected in this frame.
-    """
-
-    hand_shape: np.ndarray
-    arm_points: np.ndarray
-    lip_shape: np.ndarray
-    hand_centers: tuple[Center, Center] = (None, None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "hand_shape", _as_f32(self.hand_shape, HAND_DIM, "hand_shape"))
-        object.__setattr__(self, "arm_points", _as_f32(self.arm_points, ARM_DIM, "arm_points"))
-        object.__setattr__(self, "lip_shape", _as_f32(self.lip_shape, LIP_DIM, "lip_shape"))
-        left = _check_center(self.hand_centers[0], "left")
-        right = _check_center(self.hand_centers[1], "right")
-        object.__setattr__(self, "hand_centers", (left, right))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FrameFeatures):
-            return NotImplemented
-        return (
-            np.array_equal(self.hand_shape, other.hand_shape)
-            and np.array_equal(self.arm_points, other.arm_points)
-            and np.array_equal(self.lip_shape, other.lip_shape)
-            and self.hand_centers == other.hand_centers
-        )
-
-    @staticmethod
-    def zero() -> "FrameFeatures":
-        return FrameFeatures(
-            np.zeros(HAND_DIM, np.float32),
-            np.zeros(ARM_DIM, np.float32),
-            np.zeros(LIP_DIM, np.float32),
-            (None, None),
-        )
 
 
 @dataclass(frozen=True)
 class FeatureSequence:
-    """A labeled (or unlabeled) sequence of frames from one signer.
+    """A labeled (or unlabeled) record of n >= 1 frames from one signer.
 
-    gloss is display metadata carried by the manifest's class table; it is
-    not stored in the record file and is excluded from equality.
+    Per-frame features are float32 arrays: hand (n,126), arm (n,12) and
+    lip (n,120). centers (n,2,2) holds each hand's normalized image center
+    (x, y), left hand first, and present (n,2) is false where that hand was
+    not detected; absent center slots are zero. gloss is display metadata
+    carried by the manifest's class table; it is not stored in the record
+    file and is excluded from equality.
     """
 
-    frames: tuple[FrameFeatures, ...]
+    hand: np.ndarray
+    arm: np.ndarray
+    lip: np.ndarray
+    centers: np.ndarray
+    present: np.ndarray
     label_id: Optional[int] = None
     signer_id: int = 0
     gloss: Optional[str] = None
 
     def __post_init__(self):
-        frames = tuple(self.frames)
-        if len(frames) < 1:
+        present = np.asarray(self.present, dtype=bool)
+        n = present.shape[0] if present.ndim else 0
+        if n < 1:
             raise ValueError("FeatureSequence needs at least one frame")
-        object.__setattr__(self, "frames", frames)
+        for name, arr, shape in (
+            ("hand", np.asarray(self.hand, np.float32), (n, HAND_DIM)),
+            ("arm", np.asarray(self.arm, np.float32), (n, ARM_DIM)),
+            ("lip", np.asarray(self.lip, np.float32), (n, LIP_DIM)),
+            ("centers", np.asarray(self.centers, np.float32), (n, 2, 2)),
+            ("present", present, (n, 2)),
+        ):
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+            object.__setattr__(self, name, arr)
+        centers = np.where(present[..., None], self.centers, np.float32(0.0))
+        if not ((centers >= 0.0) & (centers <= 1.0)).all():
+            raise ValueError("a present hand center lies outside [0,1]^2")
+        object.__setattr__(self, "centers", centers)
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return self.present.shape[0]
+
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """(hand, arm, lip, centers, present): the per-frame arrays, row-aligned."""
+        return (self.hand, self.arm, self.lip, self.centers, self.present)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FeatureSequence):
@@ -140,28 +104,19 @@ class FeatureSequence:
         return (
             self.label_id == other.label_id
             and self.signer_id == other.signer_id
-            and self.frames == other.frames
+            and all(np.array_equal(a, b) for a, b in zip(self.arrays(), other.arrays()))
         )
 
 
 def save_record(seq: FeatureSequence, path) -> None:
     """Write seq to path in the .slf container format."""
-    n = len(seq.frames)
     flags = _FLAG_LABEL if seq.label_id is not None else 0
     label = seq.label_id if seq.label_id is not None else _NO_LABEL
-    header = _HEADER.pack(_MAGIC, _VERSION, flags, n, label, seq.signer_id)
-
-    payload = np.zeros(n, dtype=_FRAME_DTYPE)
-    for i, f in enumerate(seq.frames):
-        payload[i]["hand"] = f.hand_shape
-        payload[i]["arm"] = f.arm_points
-        payload[i]["lip"] = f.lip_shape
-        for h, (pres, cx, cy) in enumerate((("p0", "cx0", "cy0"), ("p1", "cx1", "cy1"))):
-            center = f.hand_centers[h]
-            if center is not None:
-                payload[i][pres] = 1
-                payload[i][cx] = center[0]
-                payload[i][cy] = center[1]
+    header = _HEADER.pack(_MAGIC, _VERSION, flags, len(seq), label, seq.signer_id)
+    payload = np.zeros(len(seq), dtype=_FRAME_DTYPE)
+    payload["hand"], payload["arm"], payload["lip"] = seq.hand, seq.arm, seq.lip
+    payload["p0"], payload["p1"] = seq.present[:, 0], seq.present[:, 1]
+    payload["c0"], payload["c1"] = seq.centers[:, 0], seq.centers[:, 1]
     Path(path).write_bytes(header + payload.tobytes())
 
 
@@ -175,6 +130,8 @@ def load_record(path) -> FeatureSequence:
         raise CorruptRecordError(f"{path}: bad magic {magic!r}")
     if version != _VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
+    if n < 1:
+        raise CorruptRecordError(f"{path}: record has no frames")
     expected = _HEADER.size + n * _FRAME_DTYPE.itemsize
     if len(buf) != expected:
         raise CorruptRecordError(f"{path}: expected {expected} bytes, found {len(buf)}")
@@ -183,21 +140,14 @@ def load_record(path) -> FeatureSequence:
         if not np.isfinite(payload[field]).all():
             raise CorruptRecordError(f"{path}: non-finite value in {field}")
     # save_record writes zeros for an absent hand, so every center slot is checked
-    centers = np.stack([payload[f] for f in ("cx0", "cy0", "cx1", "cy1")])
+    centers = np.stack([payload["c0"], payload["c1"]], axis=1)
     if not ((centers >= 0.0) & (centers <= 1.0)).all():
         raise CorruptRecordError(f"{path}: hand center outside [0,1] or not finite")
-    frames = []
-    for row in payload:
-        centers = []
-        for pres, cx, cy in (("p0", "cx0", "cy0"), ("p1", "cx1", "cy1")):
-            centers.append((float(row[cx]), float(row[cy])) if row[pres] else None)
-        frames.append(
-            FrameFeatures(
-                row["hand"].copy(), row["arm"].copy(), row["lip"].copy(), (centers[0], centers[1])
-            )
-        )
+    present = np.stack([payload["p0"], payload["p1"]], axis=1) != 0
     label_id = None if not (flags & _FLAG_LABEL) else int(label)
-    return FeatureSequence(tuple(frames), label_id=label_id, signer_id=int(signer))
+    return FeatureSequence(
+        payload["hand"], payload["arm"], payload["lip"], centers, present, label_id, int(signer)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +232,7 @@ class DatasetManifest:
                     dims.get("lip_shape", LIP_DIM),
                 ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
             raise FormatError(f"malformed manifest: {exc}") from exc
 
     def save(self, path) -> None:
@@ -447,22 +397,17 @@ def generate_synthetic_dataset(
                 centers = _interp_rows(center_ctrl[c].reshape(_N_ANCHORS, 4), length).reshape(length, 2, 2)
                 centers = np.clip(centers + rng.normal(0.0, 0.1 * noise_sigma, (length, 2, 2)), 0.0, 1.0)
                 dropped = rng.random((length, 2)) < dropout
-                frames = []
-                for t in range(length):
-                    cc = tuple(
-                        None if dropped[t, h] else (float(centers[t, h, 0]), float(centers[t, h, 1]))
-                        for h in range(2)
-                    )
-                    frames.append(
-                        FrameFeatures(
-                            feats[t, :HAND_DIM],
-                            feats[t, HAND_DIM : HAND_DIM + ARM_DIM],
-                            feats[t, HAND_DIM + ARM_DIM :],
-                            cc,
-                        )
-                    )
                 sequences.append(
-                    FeatureSequence(tuple(frames), label_id=c, signer_id=s, gloss=classes[c])
+                    FeatureSequence(
+                        feats[:, :HAND_DIM],
+                        feats[:, HAND_DIM : HAND_DIM + ARM_DIM],
+                        feats[:, HAND_DIM + ARM_DIM :],
+                        centers,
+                        ~dropped,
+                        label_id=c,
+                        signer_id=s,
+                        gloss=classes[c],
+                    )
                 )
                 entries.append(
                     RecordEntry(f"records/{classes[c]}_s{s:02d}_{i:02d}.slf", s, c, split)
@@ -482,14 +427,13 @@ def concat_sentence(records: Sequence[FeatureSequence]) -> tuple[FeatureSequence
     """
     if not records:
         raise ValueError("cannot build a sentence from zero records")
-    reference = []
-    frames: list[FrameFeatures] = []
-    for rec in records:
-        if rec.label_id is None:
-            raise ValueError("sentence construction needs labeled records")
-        reference.append(rec.label_id)
-        frames.extend(rec.frames)
-    sentence = FeatureSequence(tuple(frames), label_id=None, signer_id=records[0].signer_id)
+    reference = [rec.label_id for rec in records]
+    if None in reference:
+        raise ValueError("sentence construction needs labeled records")
+    columns = zip(*(rec.arrays() for rec in records))
+    sentence = FeatureSequence(
+        *(np.concatenate(col) for col in columns), label_id=None, signer_id=records[0].signer_id
+    )
     return sentence, reference
 
 

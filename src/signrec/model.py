@@ -773,8 +773,13 @@ def save_model(path, params: ModelParams, meta: Optional[dict] = None) -> None:
     save_checkpoint(path, params.config.to_json(), params.tensors, meta or {})
 
 
-def load_model(path) -> tuple[ModelParams, dict]:
-    config_doc, tensors, meta = load_checkpoint(path)
+def _build_model(path, config_doc: dict, tensors: dict[str, np.ndarray]) -> ModelParams:
+    """ModelParams from a parsed checkpoint, tensors checked against the config."""
     config = config_from_json(config_doc)
     check_tensors(path, tensors, param_shapes(config))
-    return ModelParams(config, tensors), meta
+    return ModelParams(config, tensors)
+
+
+def load_model(path) -> tuple[ModelParams, dict]:
+    config_doc, tensors, meta = load_checkpoint(path)
+    return _build_model(path, config_doc, tensors), meta

@@ -1,7 +1,8 @@
 """Fixed-length masked batching and the relative hand geometry stream.
 
-Records of arbitrary length are normalized to T frames (random deletion when
-too long, zero padding when too short) and split into three streams:
+assemble_streams normalizes a record's arrays to T frames (random deletion
+when too long, zero padding when too short) and splits them into three
+streams:
 
   A: hand shape, T x 126
   B: lip shape, T x 120
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .featurestore import ARM_DIM, HAND_DIM, LIP_DIM, Center, FeatureSequence, FrameFeatures
+from .featurestore import ARM_DIM, HAND_DIM, LIP_DIM, FeatureSequence
 
 STREAM_A_DIM = HAND_DIM
 STREAM_B_DIM = LIP_DIM
@@ -66,91 +67,55 @@ class StreamBatch:
         return self.mask.shape[0]
 
 
-@dataclass(frozen=True)
-class HandTrackState:
-    """Last observed center per hand; None means never seen."""
+def _hand_geometry(centers: np.ndarray, present: np.ndarray) -> tuple[list[float], list[float]]:
+    """Per-frame distance and angle between the two effective hand centers.
 
-    last_left: Center = None
-    last_right: Center = None
-
-
-def normalize_length(
-    seq: FeatureSequence, T: int = DEFAULT_T, rng: Optional[np.random.Generator] = None
-) -> tuple[FeatureSequence, np.ndarray]:
-    """Force seq to exactly T frames.
-
-    Longer inputs lose a uniformly random set of frames (survivors keep their
-    original order); shorter inputs gain trailing all-zero frames, marked
-    false in the returned mask. Pass a seeded generator for reproducible
-    deletion; a fresh default generator is used when rng is None.
+    An absent hand falls back to its last observed center among these
+    frames, or to the bottom center of the image if it was not seen yet.
+    The angle is atan2 of the left-to-right segment (image coordinates, y
+    downward), zero when the centers coincide. math.hypot/atan2 are used
+    because numpy's versions differ from them in the last ulp.
     """
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    n = len(seq)
-    if n == T:
-        return seq, np.ones(T, dtype=bool)
-    if n > T:
-        if rng is None:
-            rng = np.random.default_rng()
-        keep = np.sort(rng.choice(n, size=T, replace=False))
-        frames = tuple(seq.frames[i] for i in keep)
-        return (
-            FeatureSequence(frames, seq.label_id, seq.signer_id, seq.gloss),
-            np.ones(T, dtype=bool),
-        )
-    pad = tuple(FrameFeatures.zero() for _ in range(T - n))
-    mask = np.zeros(T, dtype=bool)
-    mask[:n] = True
-    return FeatureSequence(seq.frames + pad, seq.label_id, seq.signer_id, seq.gloss), mask
-
-
-def hand_geometry(
-    centers: tuple[Center, Center], state: HandTrackState
-) -> tuple[float, float, HandTrackState]:
-    """Distance and angle between the two effective hand centers.
-
-    An absent hand falls back to its last observed center, or to the bottom
-    center of the image if it was never seen. The angle is atan2 of the
-    left-to-right segment (image coordinates, y downward), zero when the
-    centers coincide. Returns the updated tracking state.
-    """
-    left, right = centers
-    eff_left = left if left is not None else (state.last_left or _FALLBACK_CENTER)
-    eff_right = right if right is not None else (state.last_right or _FALLBACK_CENTER)
-    dx = eff_right[0] - eff_left[0]
-    dy = eff_right[1] - eff_left[1]
-    distance = math.hypot(dx, dy)
-    angle = math.atan2(dy, dx) if distance > 0.0 else 0.0
-    new_state = HandTrackState(
-        left if left is not None else state.last_left,
-        right if right is not None else state.last_right,
-    )
-    return distance, angle, new_state
+    rows = np.arange(len(present))
+    # last[t, h]: the latest frame <= t in which hand h was present, or -1
+    last = np.maximum.accumulate(np.where(present, rows[:, None], -1), axis=0)
+    eff = np.where((last >= 0)[..., None], centers[last, [0, 1]], _FALLBACK_CENTER)
+    dx = (eff[:, 1, 0] - eff[:, 0, 0]).tolist()
+    dy = (eff[:, 1, 1] - eff[:, 0, 1]).tolist()
+    distance = list(map(math.hypot, dx, dy))
+    angle = [math.atan2(y, x) if d > 0.0 else 0.0 for x, y, d in zip(dx, dy, distance)]
+    return distance, angle
 
 
 def assemble_streams(
     seq: FeatureSequence, T: int = DEFAULT_T, rng: Optional[np.random.Generator] = None
 ) -> StreamBatch:
-    """Normalize seq to T frames and split it into the three input streams.
+    """Normalize seq to exactly T frames and split it into the three input streams.
 
-    Geometry state is threaded across the retained real frames only; padded
-    rows stay exactly zero in all streams.
+    Longer inputs lose a uniformly random set of frames (survivors keep
+    their original order); shorter inputs gain trailing all-zero rows,
+    marked false in the mask. Pass a seeded generator for reproducible
+    deletion; a fresh default generator is used when rng is None. Hand
+    tracking runs over the retained frames only.
     """
-    norm, mask = normalize_length(seq, T, rng)
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    n = len(seq)
+    if n > T:
+        if rng is None:
+            rng = np.random.default_rng()
+        keep = np.sort(rng.choice(n, size=T, replace=False))
+    else:
+        keep = slice(None)
+    k = min(n, T)
     a = np.zeros((T, STREAM_A_DIM))
     b = np.zeros((T, STREAM_B_DIM))
     c = np.zeros((T, STREAM_C_DIM))
-    state = HandTrackState()
-    for t, frame in enumerate(norm.frames):
-        if not mask[t]:
-            break
-        a[t] = frame.hand_shape
-        b[t] = frame.lip_shape
-        c[t, :ARM_DIM] = frame.arm_points
-        distance, angle, state = hand_geometry(frame.hand_centers, state)
-        c[t, ARM_DIM] = distance
-        c[t, ARM_DIM + 1] = angle
-    return StreamBatch(a, b, c, mask)
+    a[:k] = seq.hand[keep]
+    b[:k] = seq.lip[keep]
+    c[:k, :ARM_DIM] = seq.arm[keep]
+    c[:k, ARM_DIM], c[:k, ARM_DIM + 1] = _hand_geometry(seq.centers[keep], seq.present[keep])
+    return StreamBatch(a, b, c, np.arange(T) < k)
 
 
 def stack_batches(

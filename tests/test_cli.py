@@ -278,10 +278,29 @@ def _center_outside(data):
     _patch_record(20 + 1033, "<f", 1.5)(data)
 
 
-def _label_not_int(data):
+def _manifest_record(**fields):
+    """Edit that overwrites fields of the manifest's first record entry."""
+
+    def edit(data):
+        doc = json.loads((data / "manifest.json").read_text())
+        doc["records"][0].update(fields)
+        (data / "manifest.json").write_text(json.dumps(doc))
+
+    return edit
+
+
+def _signer_in_two_splits(data):
     doc = json.loads((data / "manifest.json").read_text())
-    doc["records"][0]["label"] = "x"
+    test = next(r for r in doc["records"] if r["split"] == "test")
+    doc["records"][0]["signer"] = test["signer"]
     (data / "manifest.json").write_text(json.dumps(doc))
+
+
+def _no_frames(data):
+    path = sorted((data / "records").glob("*.slf"))[0]
+    header = bytearray(path.read_bytes()[:20])
+    struct.pack_into("<I", header, 8, 0)
+    path.write_bytes(bytes(header))
 
 
 def _tensor(header, name):
@@ -294,13 +313,18 @@ def _tensor(header, name):
         ("data", _center_outside, CorruptRecordError),
         ("data", _patch_record(20, "<f", float("nan")), CorruptRecordError),
         ("data", _patch_record(20 + 1033, "<f", float("inf")), CorruptRecordError),
-        ("data", _label_not_int, FormatError),
+        ("data", _manifest_record(label="x"), FormatError),
+        ("data", _manifest_record(label=99), FormatError),
+        ("data", _manifest_record(split="dev"), FormatError),
+        ("data", _signer_in_two_splits, FormatError),
+        ("data", _no_frames, CorruptRecordError),
         ("late.ckpt", lambda h: h["tensors"].remove(_tensor(h, "a.proj.W")), FormatError),
         ("late.ckpt", lambda h: _tensor(h, "head.cls.b").update(shape=[3]), FormatError),
         ("ens.ckpt", lambda h: h["config"].update(chromosome=[1, 9] + [0] * 7), FormatError),
     ],
     ids=[
         "center-outside", "nan-feature", "inf-center", "label-not-int",
+        "label-outside-classes", "unknown-split", "signer-in-two-splits", "no-frames",
         "missing-tensor", "short-tensor", "head-width",
     ],
 )
@@ -323,6 +347,29 @@ def test_malformed_input_exits_2(pipeline, tmp_path, source, edit, error):
         "--split", "test", "--out", tmp_path / "m.json",
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: doc["sentences"],
+        lambda doc: {"sentence": doc["sentences"]},
+        lambda doc: {"sentences": [{"reference": e["reference"]} for e in doc["sentences"]]},
+        lambda doc: {"sentences": [{"path": e["path"]} for e in doc["sentences"]]},
+    ],
+    ids=["root-not-object", "no-sentences", "entry-without-path", "entry-without-reference"],
+)
+def test_malformed_sentence_index_exits_2(pipeline, tmp_path, capsys, edit):
+    sent = tmp_path / "sent"
+    shutil.copytree(pipeline["root"] / "sent", sent)
+    index = sent / "sentences.json"
+    index.write_text(json.dumps(edit(json.loads(index.read_text()))))
+    rc = run(
+        "decode", "--model", pipeline["root"] / "ens.ckpt", "--sentences", sent,
+        "--out", tmp_path / "report.json",
+    )
+    assert rc == 2
+    assert "malformed sentence index" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["3,10,20", "10,1,2,3,4,5,6,7,8,9", "2,a,b", ""])

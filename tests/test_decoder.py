@@ -19,16 +19,17 @@ from signrec.decoder import (
     trace_to_json,
     windows,
 )
-from signrec.featurestore import ARM_DIM, HAND_DIM, LIP_DIM, FeatureSequence, FrameFeatures
+from signrec.featurestore import ARM_DIM, HAND_DIM, LIP_DIM, FeatureSequence
 from conftest import RowwiseModel
 
 
 def flat_sequence(n):
     return FeatureSequence(
-        tuple(
-            FrameFeatures(np.zeros(HAND_DIM), np.zeros(ARM_DIM), np.zeros(LIP_DIM))
-            for _ in range(n)
-        )
+        np.zeros((n, HAND_DIM)),
+        np.zeros((n, ARM_DIM)),
+        np.zeros((n, LIP_DIM)),
+        np.zeros((n, 2, 2)),
+        np.zeros((n, 2), dtype=bool),
     )
 
 
@@ -94,12 +95,12 @@ def test_decode_config_validation():
 
 def test_classify_window_threshold_boundary():
     cfg = DecodeConfig()
-    frames = flat_sequence(40).frames
-    below = classify_window(scripted_model([dist(101, 2, 0.19)]), frames, cfg, start=10)
+    window = flat_sequence(40)
+    below = classify_window(scripted_model([dist(101, 2, 0.19)]), window, cfg, start=10)
     assert below.word is None and below.start == 10
     npt.assert_allclose(below.confidence, 0.19, rtol=1e-12)
 
-    above = classify_window(scripted_model([dist(5, 2, 0.21)]), frames, cfg)
+    above = classify_window(scripted_model([dist(5, 2, 0.21)]), window, cfg)
     assert above.word == 2
     npt.assert_allclose(above.confidence, 0.21, rtol=1e-12)
 
@@ -107,7 +108,7 @@ def test_classify_window_threshold_boundary():
 def test_classify_window_uniform_101_is_null():
     cfg = DecodeConfig()
     pred = classify_window(
-        scripted_model([np.full(101, 1.0 / 101)]), flat_sequence(12).frames, cfg
+        scripted_model([np.full(101, 1.0 / 101)]), flat_sequence(12), cfg
     )
     assert pred.word is None
     npt.assert_allclose(pred.confidence, 1.0 / 101, rtol=1e-12)

@@ -16,7 +16,6 @@ from signrec.featurestore import (
     DatasetManifest,
     EmbeddingTable,
     FeatureSequence,
-    FrameFeatures,
     RecordEntry,
     build_sentences,
     concat_sentence,
@@ -30,23 +29,17 @@ from signrec.featurestore import (
 
 
 def random_record(rng, n_frames=None, label_id=3, signer_id=1):
-    frames = []
-    for _ in range(n_frames or int(rng.integers(1, 8))):
-        centers = []
-        for _ in range(2):
-            if rng.random() < 0.3:
-                centers.append(None)
-            else:
-                centers.append((float(rng.random()), float(rng.random())))
-        frames.append(
-            FrameFeatures(
-                rng.standard_normal(HAND_DIM).astype(np.float32),
-                rng.standard_normal(ARM_DIM).astype(np.float32),
-                rng.standard_normal(LIP_DIM).astype(np.float32),
-                tuple(centers),
-            )
-        )
-    return FeatureSequence(tuple(frames), label_id=label_id, signer_id=signer_id)
+    """Random float32 features; each hand center is absent on ~30% of frames."""
+    n = n_frames or int(rng.integers(1, 8))
+    return FeatureSequence(
+        rng.standard_normal((n, HAND_DIM)).astype(np.float32),
+        rng.standard_normal((n, ARM_DIM)).astype(np.float32),
+        rng.standard_normal((n, LIP_DIM)).astype(np.float32),
+        rng.random((n, 2, 2)),
+        rng.random((n, 2)) >= 0.3,
+        label_id=label_id,
+        signer_id=signer_id,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -68,19 +61,17 @@ def test_record_roundtrip_property(tmp_path):
 
 def test_record_roundtrip_zero_frame_absent_centers(tmp_path):
     seq = FeatureSequence(
-        (
-            FrameFeatures(
-                np.zeros(HAND_DIM, dtype=np.float32),
-                np.zeros(ARM_DIM, dtype=np.float32),
-                np.zeros(LIP_DIM, dtype=np.float32),
-            ),
-        )
+        np.zeros((1, HAND_DIM)),
+        np.zeros((1, ARM_DIM)),
+        np.zeros((1, LIP_DIM)),
+        np.zeros((1, 2, 2)),
+        np.zeros((1, 2), dtype=bool),
     )
     path = tmp_path / "zero.slf"
     save_record(seq, path)
     back = load_record(path)
     assert back == seq
-    assert back.frames[0].hand_centers == (None, None)
+    assert not back.present.any() and not back.centers.any()
     assert back.label_id is None
 
 
@@ -142,20 +133,43 @@ def test_record_truncation_and_overrun(tmp_path):
     path.write_bytes(raw[:10])  # shorter than the fixed header
     with pytest.raises(CorruptRecordError):
         load_record(path)
+    header = bytearray(raw[:20])
+    header[8:12] = struct.pack("<I", 0)  # a header that declares zero frames
+    path.write_bytes(bytes(header))
+    with pytest.raises(CorruptRecordError):
+        load_record(path)
 
 
 def test_frame_features_validation():
+    n = 3
+    arrays = dict(
+        hand=np.zeros((n, HAND_DIM)),
+        arm=np.zeros((n, ARM_DIM)),
+        lip=np.zeros((n, LIP_DIM)),
+        centers=np.full((n, 2, 2), 0.5),
+        present=np.ones((n, 2), dtype=bool),
+    )
+    for name, bad in (
+        ("hand", np.zeros((n, 10))),
+        ("arm", np.zeros((n + 1, ARM_DIM))),
+        ("lip", np.zeros(LIP_DIM)),
+        ("centers", np.zeros((n, 2))),
+        ("present", np.ones((n, 1), dtype=bool)),
+    ):
+        with pytest.raises(ValueError):
+            FeatureSequence(**{**arrays, name: bad})
+    outside = arrays["centers"].copy()
+    outside[1, 0] = (1.5, 0.5)
     with pytest.raises(ValueError):
-        FrameFeatures(np.zeros(10), np.zeros(ARM_DIM), np.zeros(LIP_DIM))
+        FeatureSequence(**{**arrays, "centers": outside})
+    # an absent hand's center slot is zeroed, whatever it held
+    present = arrays["present"].copy()
+    present[1, 0] = False
+    seq = FeatureSequence(**{**arrays, "centers": outside, "present": present})
+    assert seq.centers[1, 0].tolist() == [0.0, 0.0] and seq.centers[1, 1].tolist() == [0.5, 0.5]
+    assert seq.hand.dtype == seq.centers.dtype == np.float32
     with pytest.raises(ValueError):
-        FrameFeatures(
-            np.zeros(HAND_DIM),
-            np.zeros(ARM_DIM),
-            np.zeros(LIP_DIM),
-            ((1.5, 0.5), None),
-        )
-    with pytest.raises(ValueError):
-        FeatureSequence(())
+        FeatureSequence(**{k: v[:0] for k, v in arrays.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +228,7 @@ def test_generator_centroid_separability():
     train = ds.split("train")
 
     def featurize(r):
-        rows = [np.concatenate([f.hand_shape, f.arm_points, f.lip_shape]) for f in r.frames]
-        return np.mean(rows, axis=0)
+        return np.concatenate([r.hand, r.arm, r.lip], axis=1).mean(axis=0)
 
     X = np.stack([featurize(r) for r in train])
     y = np.array([r.label_id for r in train])
@@ -308,12 +321,12 @@ def test_concat_sentence_additivity():
     assert refs == [0, 1, 2]
     assert sent.label_id is None
     # order preserved: frame boundaries line up with the inputs
-    assert sent.frames[:30] == parts[0].frames
-    assert sent.frames[30:70] == parts[1].frames
-    assert sent.frames[70:] == parts[2].frames
+    for (start, stop), part in zip(((0, 30), (30, 70), (70, 95)), parts):
+        for got, want in zip(sent.arrays(), part.arrays()):
+            npt.assert_array_equal(got[start:stop], want)
 
     single, refs1 = concat_sentence(parts[:1])
-    assert single.frames == parts[0].frames and refs1 == [0]
+    assert single == FeatureSequence(*parts[0].arrays(), signer_id=1) and refs1 == [0]
 
     with pytest.raises(ValueError):
         concat_sentence([])

@@ -1,4 +1,4 @@
-"""Length normalization, hand geometry, and stream assembly."""
+"""Stream assembly: length normalization, hand geometry, and masking."""
 
 import math
 
@@ -6,62 +6,166 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from signrec.featurestore import ARM_DIM, HAND_DIM, LIP_DIM, FeatureSequence, FrameFeatures
-from signrec.preprocess import (
-    DEFAULT_T,
-    HandTrackState,
-    StreamBatch,
-    assemble_streams,
-    hand_geometry,
-    normalize_length,
-    stack_batches,
-)
+from signrec.decoder import DecodeConfig, decode_trace, windows
+from signrec.featurestore import ARM_DIM, HAND_DIM, LIP_DIM, FeatureSequence, concat_sentence
+from signrec.preprocess import DEFAULT_T, StreamBatch, assemble_streams, stack_batches
+from conftest import RowwiseModel
+
+_FALLBACK_CENTER = (0.5, 1.0)
+
+
+def f32(x):
+    """x as stored in a record: centers are float32."""
+    return float(np.float32(x))
 
 
 def tagged_sequence(n, centers=(None, None)):
-    """Frames tagged by index in hand_shape[0] so orderings are observable."""
-    frames = []
-    for i in range(n):
-        hand = np.zeros(HAND_DIM, dtype=np.float32)
-        hand[0] = i + 1
-        frames.append(FrameFeatures(hand, np.zeros(ARM_DIM), np.zeros(LIP_DIM), centers))
-    return FeatureSequence(tuple(frames), label_id=0)
+    """n frames tagged by index in hand[:, 0]; centers is one (left, right) pair for every frame."""
+    return track(*[centers] * n)
+
+
+def track(*frames):
+    """One frame per (left, right) pair of hand centers, None where the hand is absent."""
+    n = len(frames)
+    hand = np.zeros((n, HAND_DIM), np.float32)
+    hand[:, 0] = np.arange(1, n + 1)
+    present = np.array([[c is not None for c in f] for f in frames], dtype=bool)
+    centers = np.array([[c if c is not None else (0.0, 0.0) for c in f] for f in frames])
+    return FeatureSequence(hand, np.zeros((n, ARM_DIM)), np.zeros((n, LIP_DIM)), centers, present, 0)
+
+
+def random_record(rng, n, label_id=0):
+    """Random features; each hand center is absent on ~30% of frames."""
+    return FeatureSequence(
+        rng.standard_normal((n, HAND_DIM)),
+        rng.standard_normal((n, ARM_DIM)),
+        rng.standard_normal((n, LIP_DIM)),
+        rng.random((n, 2, 2)),
+        rng.random((n, 2)) >= 0.3,
+        label_id=label_id,
+    )
+
+
+def geometry(seq, T=1):
+    """(distance, angle) columns of seq's C stream."""
+    c = assemble_streams(seq, T).stream_c
+    return c[:, ARM_DIM], c[:, ARM_DIM + 1]
 
 
 # ---------------------------------------------------------------------------
-# normalize_length
+# Per-frame oracle: the hand-tracking loop that assemble_streams vectorizes.
+
+
+def hand_geometry(centers, state):
+    """Distance and angle for one frame's (left, right) centers; state is the last seen pair."""
+    left, right = centers
+    last_left, last_right = state
+    eff_left = left if left is not None else (last_left or _FALLBACK_CENTER)
+    eff_right = right if right is not None else (last_right or _FALLBACK_CENTER)
+    dx = eff_right[0] - eff_left[0]
+    dy = eff_right[1] - eff_left[1]
+    distance = math.hypot(dx, dy)
+    angle = math.atan2(dy, dx) if distance > 0.0 else 0.0
+    new_state = (
+        left if left is not None else last_left,
+        right if right is not None else last_right,
+    )
+    return distance, angle, new_state
+
+
+def oracle_streams(seq, rows, T):
+    """StreamBatch arrays built frame by frame from seq's frames `rows`, tracking from no history."""
+    a, b, c = np.zeros((T, HAND_DIM)), np.zeros((T, LIP_DIM)), np.zeros((T, ARM_DIM + 2))
+    state = (None, None)
+    for t, row in enumerate(rows):
+        centers = tuple(
+            (float(seq.centers[row, h, 0]), float(seq.centers[row, h, 1]))
+            if seq.present[row, h]
+            else None
+            for h in range(2)
+        )
+        a[t], b[t], c[t, :ARM_DIM] = seq.hand[row], seq.lip[row], seq.arm[row]
+        c[t, ARM_DIM], c[t, ARM_DIM + 1], state = hand_geometry(centers, state)
+    return a, b, c, np.arange(T) < len(rows)
+
+
+def kept_rows(n, T, seed):
+    """The frames assemble_streams keeps under default_rng(seed)."""
+    if n <= T:
+        return list(range(n))
+    return sorted(np.random.default_rng(seed).choice(n, size=T, replace=False).tolist())
+
+
+@pytest.mark.parametrize("n", [1, 7, 39, 40, 41, 97])
+def test_assemble_matches_per_frame_oracle(n):
+    rng = np.random.default_rng(n)
+    for seed in range(10):
+        seq = random_record(rng, n)
+        sb = assemble_streams(seq, DEFAULT_T, np.random.default_rng(seed))
+        want = oracle_streams(seq, kept_rows(n, DEFAULT_T, seed), DEFAULT_T)
+        for got, exp in zip((sb.stream_a, sb.stream_b, sb.stream_c, sb.mask), want):
+            assert got.dtype == exp.dtype
+            npt.assert_array_equal(got, exp)
+
+
+def test_decode_windows_match_per_frame_oracle():
+    rng = np.random.default_rng(31)
+    sentence, _ = concat_sentence([random_record(rng, n, i) for i, n in enumerate((33, 58, 26))])
+    cfg = DecodeConfig()
+    seen = []
+    decode_trace(RowwiseModel(lambda sb: seen.append(sb) or np.full(3, 1 / 3)), sentence, cfg)
+    starts = windows(len(sentence), cfg)
+    assert len(seen) == len(starts) == 16
+    carried = 0
+    for start, sb in zip(starts, seen):
+        rows = range(start, start + cfg.window)
+        want = oracle_streams(sentence, rows, cfg.window)
+        for got, exp in zip((sb.stream_a, sb.stream_b, sb.stream_c, sb.mask), want):
+            npt.assert_array_equal(got, exp)
+        # tracking restarts at the window: a history carried in from the
+        # frames before it would have given different geometry here
+        carried += not np.array_equal(
+            sb.stream_c, oracle_streams(sentence, range(start + cfg.window), start + cfg.window)[2][start:]
+        )
+    assert carried > 0
+
+
+# ---------------------------------------------------------------------------
+# length normalization
 
 
 def test_normalize_identity():
     seq = tagged_sequence(DEFAULT_T)
-    out, mask = normalize_length(seq, DEFAULT_T)
-    assert out.frames == seq.frames
-    assert mask.all() and mask.shape == (DEFAULT_T,)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    sb = assemble_streams(seq, DEFAULT_T, rng)
+    npt.assert_array_equal(sb.stream_a[:, 0], np.arange(1, DEFAULT_T + 1))
+    assert sb.mask.all() and sb.mask.shape == (DEFAULT_T,)
+    assert rng.bit_generator.state == before  # nothing drawn at n == T
 
 
 def test_normalize_pads_short_input():
     # the corpus's shortest word is 21 frames
-    out, mask = normalize_length(tagged_sequence(21), DEFAULT_T)
-    assert len(out) == DEFAULT_T
-    assert mask[:21].all() and not mask[21:].any()
-    for f in out.frames[21:]:
-        assert not f.hand_shape.any() and f.hand_centers == (None, None)
-    assert out.frames[:21] == tagged_sequence(21).frames
+    seq = tagged_sequence(21, centers=((0.2, 0.2), (0.6, 0.5)))
+    sb = assemble_streams(seq, DEFAULT_T)
+    assert sb.mask[:21].all() and not sb.mask[21:].any()
+    for stream in (sb.stream_a, sb.stream_b, sb.stream_c):
+        npt.assert_array_equal(stream[21:], 0.0)
+    npt.assert_array_equal(sb.stream_a[:21, 0], np.arange(1, 22))
 
 
 def test_normalize_deletes_long_input():
     # the corpus's longest word is 116 frames
     seq = tagged_sequence(116)
-    rng = np.random.default_rng(13)
-    out, mask = normalize_length(seq, DEFAULT_T, rng)
-    assert len(out) == DEFAULT_T and mask.all()
-    tags = [int(f.hand_shape[0]) for f in out.frames]
+    sb = assemble_streams(seq, DEFAULT_T, np.random.default_rng(13))
+    assert sb.mask.all()
+    tags = sb.stream_a[:, 0].astype(int).tolist()
     assert tags == sorted(tags)  # survivors keep original order
     assert len(set(tags)) == DEFAULT_T
     assert set(tags) <= set(range(1, 117))
     # reproducible under the same seed
-    again, _ = normalize_length(seq, DEFAULT_T, np.random.default_rng(13))
-    assert again.frames == out.frames
+    again = assemble_streams(seq, DEFAULT_T, np.random.default_rng(13))
+    npt.assert_array_equal(again.stream_a, sb.stream_a)
 
 
 def test_normalize_subsequence_property():
@@ -69,60 +173,64 @@ def test_normalize_subsequence_property():
     for _ in range(25):
         n = int(rng.integers(1, 60))
         T = int(rng.integers(1, 30))
-        out, mask = normalize_length(tagged_sequence(n), T, rng)
-        assert len(out) == T
-        assert mask.sum() == min(n, T)
-        real = [int(f.hand_shape[0]) for f, m in zip(out.frames, mask) if m]
+        sb = assemble_streams(tagged_sequence(n), T, rng)
+        assert sb.T == T
+        assert sb.mask.sum() == min(n, T)
+        real = sb.stream_a[sb.mask, 0].astype(int).tolist()
         assert real == sorted(set(real))
     with pytest.raises(ValueError):
-        normalize_length(tagged_sequence(3), 0)
+        assemble_streams(tagged_sequence(3), 0)
 
 
 # ---------------------------------------------------------------------------
-# hand_geometry
+# hand geometry (C stream columns 12 and 13)
 
 
 def test_geometry_coincident_centers():
-    d, a, _ = hand_geometry(((0.3, 0.3), (0.3, 0.3)), HandTrackState())
-    assert d == 0.0 and a == 0.0
+    d, a = geometry(track(((0.3, 0.3), (0.3, 0.3))))
+    assert d[0] == 0.0 and a[0] == 0.0
+    # -0.0 - 0.0 is -0.0, and atan2(-0.0, -0.0) is -pi: the angle is still +0.0
+    d, a = geometry(track(((0.0, 0.0), (-0.0, -0.0))))
+    assert d[0] == 0.0 and a[0] == 0.0 and math.copysign(1.0, a[0]) == 1.0
 
 
 def test_geometry_diagonal():
-    d, a, _ = hand_geometry(((0.0, 0.0), (1.0, 1.0)), HandTrackState())
-    npt.assert_allclose(d, math.sqrt(2.0), rtol=1e-12)
-    npt.assert_allclose(a, 0.7853981633974483, rtol=1e-12)
+    d, a = geometry(track(((0.0, 0.0), (1.0, 1.0))))
+    assert d[0] == math.sqrt(2.0)
+    npt.assert_allclose(a[0], 0.7853981633974483, rtol=1e-12)
 
 
 def test_geometry_fallback_bottom_center():
     # no history at all: both hands land on (0.5, 1.0) and coincide
-    d, a, state = hand_geometry((None, None), HandTrackState())
-    assert d == 0.0 and a == 0.0
-    assert state == HandTrackState()  # absence leaves the memory empty
+    d, a = geometry(track((None, None)))
+    assert d[0] == 0.0 and a[0] == 0.0
+    # absence leaves the memory empty: the right hand still falls back
+    d, a = geometry(track((None, None), ((0.5, 0.25), None)), T=2)
+    assert d[1] == 0.75 and a[1] == math.atan2(0.75, 0.0)
 
 
 def test_geometry_last_seen_persistence():
-    state = HandTrackState()
-    _, _, state = hand_geometry(((0.1, 0.2), (0.9, 0.8)), state)
-    assert state.last_left == (0.1, 0.2) and state.last_right == (0.9, 0.8)
-    # right hand disappears: its last center stands in
-    d, a, state = hand_geometry(((0.1, 0.2), None), state)
-    npt.assert_allclose(d, math.hypot(0.8, 0.6), rtol=1e-12)
-    npt.assert_allclose(a, math.atan2(0.6, 0.8), rtol=1e-12)
-    assert state.last_right == (0.9, 0.8)
+    seq = track(((0.1, 0.2), (0.9, 0.8)), ((0.1, 0.2), None), (None, None))
+    d, a = geometry(seq, T=3)
+    # the right hand disappears, then both: their last centers stand in
+    dx, dy = f32(0.9) - f32(0.1), f32(0.8) - f32(0.2)
+    npt.assert_array_equal(d, [math.hypot(dx, dy)] * 3)
+    npt.assert_array_equal(a, [math.atan2(dy, dx)] * 3)
+    npt.assert_allclose(d[1], math.hypot(0.8, 0.6), rtol=1e-6)
 
 
 def test_geometry_swap_symmetry():
     rng = np.random.default_rng(4)
     for _ in range(50):
-        left = (float(rng.random()), float(rng.random()))
-        right = (float(rng.random()), float(rng.random()))
-        d1, a1, _ = hand_geometry((left, right), HandTrackState())
-        d2, a2, _ = hand_geometry((right, left), HandTrackState())
-        npt.assert_allclose(d1, d2, rtol=1e-12)
-        assert 0.0 <= d1 <= math.sqrt(2.0) + 1e-12
-        if d1 > 0:
+        left = (f32(rng.random()), f32(rng.random()))
+        right = (f32(rng.random()), f32(rng.random()))
+        d1, a1 = geometry(track((left, right)))
+        d2, a2 = geometry(track((right, left)))
+        assert d1[0] == d2[0]
+        assert 0.0 <= d1[0] <= math.sqrt(2.0) + 1e-12
+        if d1[0] > 0:
             dx, dy = right[0] - left[0], right[1] - left[1]
-            npt.assert_allclose(a2, math.atan2(-dy, -dx), rtol=1e-12)
+            assert a2[0] == math.atan2(-dy, -dx)
 
 
 # ---------------------------------------------------------------------------
@@ -152,15 +260,14 @@ def test_assemble_absent_centers_zero_tail():
 
 def test_assemble_zero_lips_leaves_other_streams():
     rng = np.random.default_rng(12)
-    frames = tuple(
-        FrameFeatures(
-            rng.standard_normal(HAND_DIM),
-            rng.standard_normal(ARM_DIM),
-            np.zeros(LIP_DIM),
-        )
-        for _ in range(6)
+    seq = FeatureSequence(
+        rng.standard_normal((6, HAND_DIM)),
+        rng.standard_normal((6, ARM_DIM)),
+        np.zeros((6, LIP_DIM)),
+        np.zeros((6, 2, 2)),
+        np.zeros((6, 2), dtype=bool),
     )
-    sb = assemble_streams(FeatureSequence(frames))
+    sb = assemble_streams(seq)
     npt.assert_array_equal(sb.stream_b, 0.0)
     assert np.abs(sb.stream_a[:6]).sum() > 0
     assert np.abs(sb.stream_c[:6, :12]).sum() > 0

@@ -254,7 +254,7 @@ def test_evaluate_argument_errors(tiny_dataset):
         evaluate(stub, [], T=TINY_T)
     from signrec.featurestore import FeatureSequence
 
-    unlabeled = FeatureSequence(tiny_dataset.sequences[0].frames)
+    unlabeled = FeatureSequence(*tiny_dataset.sequences[0].arrays())
     with pytest.raises(ValueError):
         evaluate(stub, [unlabeled], T=TINY_T)
 
