@@ -1,10 +1,11 @@
 """Transformer encoders for early- and late-fusion sign-word classification.
 
-Everything is plain numpy in float64. forward_batch runs either architecture
-over (N,T,dim) stream arrays; loss_and_grads adds the combined loss and the
-full analytic backward pass used by the training loop. Gradients are written
-by hand and validated against central finite differences in the test suite.
-masked_attention and encoder_block expose single layers on one sequence.
+Everything is plain numpy. Activations take the dtype of the parameters and
+streams: float64 for training and the gradient checks, float32 when both are
+float32. forward_batch runs either architecture over (N,T,dim) stream
+arrays; loss_and_grads adds the combined loss and the full analytic backward
+pass used by the training loop. Gradients are written by hand and validated
+against central finite differences in the test suite.
 
 Architecture, shared by both fusion variants:
   project input -> add sinusoidal positions -> N encoder blocks -> additive
@@ -14,12 +15,21 @@ Late fusion runs one encoder per stream (hand / lip / arm geometry), then a
 fused encoder over the per-frame concatenation of the three encoder outputs
 (no second projection or positional term). Early fusion concatenates the raw
 streams to a single 260-d vector and uses one encoder.
+
+Buffer ownership: a pass works in place (out=, +=, *=) on temporaries it
+allocated itself, and never writes to its inputs, the parameters, the shared
+positional table or a cache it has returned. Three private helpers overwrite
+an argument their caller hands over: _ln_forward turns x into the normalized
+x-hat its cache keeps, _ln_backward turns dy into the input gradient, and
+_encoder_backward masks dout in place. Every other helper only reads its
+arguments and returns fresh arrays.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -280,33 +290,35 @@ def positional_encoding(T: int, d_model: int) -> np.ndarray:
     return pe
 
 
-def layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray, eps: float = _LN_EPS) -> np.ndarray:
-    mu = x.mean(-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(-1, keepdims=True)
-    return g * (xc / np.sqrt(var + eps)) + b
-
-
 def _ln_forward(x, g, b):
-    mu = x.mean(-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = xc * inv
-    return g * xhat + b, (xhat, inv, g)
+    """Layer norm over the last axis. Overwrites x with x-hat, which the cache keeps."""
+    x -= x.mean(-1, keepdims=True)
+    y = np.multiply(x, x)
+    inv = y.mean(-1, keepdims=True)
+    inv += _LN_EPS
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    x *= inv
+    np.multiply(x, g, out=y)
+    y += b
+    return y, (x, inv, g)
 
 
 def _ln_backward(dy, cache):
+    """(dx, dg, db) of _ln_forward. Overwrites dy with dx."""
     xhat, inv, g = cache
-    dg = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
-    db = dy.sum(axis=tuple(range(dy.ndim - 1)))
-    dxhat = dy * g
-    dx = inv * (
-        dxhat
-        - dxhat.mean(-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(-1, keepdims=True)
-    )
-    return dx, dg, db
+    axes = tuple(range(dy.ndim - 1))
+    db = dy.sum(axis=axes)
+    tmp = dy * xhat
+    dg = tmp.sum(axis=axes)
+    dy *= g  # dxhat
+    np.multiply(dy, xhat, out=tmp)
+    proj = tmp.mean(-1, keepdims=True)
+    np.multiply(xhat, proj, out=tmp)
+    dy -= dy.mean(-1, keepdims=True)
+    dy -= tmp
+    dy *= inv
+    return dy, dg, db
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -319,166 +331,152 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(B, T, h * dh)
 
 
+def _affine(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    y = x @ W
+    y += b
+    return y
+
+
 def _mat_grad(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     # weight gradient of y = x @ W accumulated over batch and time
     return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
 
 
-def _attn_forward(X, mask, w, prefix, heads, dropout, rng, train):
-    """Multi-head attention with key masking. Returns (out, cache)."""
-    q = _split_heads(X @ w[f"{prefix}.Wq"] + w[f"{prefix}.bq"], heads)
-    k = _split_heads(X @ w[f"{prefix}.Wk"] + w[f"{prefix}.bk"], heads)
-    v = _split_heads(X @ w[f"{prefix}.Wv"] + w[f"{prefix}.bv"], heads)
-    dh = q.shape[-1]
-    scale = 1.0 / np.sqrt(dh)
-    scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-    scores = scores + np.where(mask[:, None, None, :], 0.0, _MASK_BIAS)
-    scores -= scores.max(-1, keepdims=True)
-    e = np.exp(scores)
-    p = e / e.sum(-1, keepdims=True)  # masked keys get exactly zero weight
+def _mask_bias(mask: np.ndarray, dtype) -> np.ndarray:
+    """(N,1,1,T) attention-score bias: 0 at real keys, _MASK_BIAS at padded ones."""
+    return np.where(mask[:, None, None, :], 0.0, _MASK_BIAS).astype(dtype, copy=False)
+
+
+def _attn_forward(X, bias, w, prefix, heads, dropout, rng, train):
+    """Multi-head attention with key masking by bias. Returns (out, cache)."""
+    q = _split_heads(_affine(X, w[f"{prefix}.Wq"], w[f"{prefix}.bq"]), heads)
+    k = _split_heads(_affine(X, w[f"{prefix}.Wk"], w[f"{prefix}.bk"]), heads)
+    v = _split_heads(_affine(X, w[f"{prefix}.Wv"], w[f"{prefix}.bv"]), heads)
+    scale = 1.0 / math.sqrt(q.shape[-1])
+    p = q @ k.transpose(0, 1, 3, 2)
+    p *= scale
+    p += bias
+    p -= p.max(-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(-1, keepdims=True)  # masked keys get exactly zero weight
+    keep = c = None
+    pd = p
     if train and dropout > 0.0:
-        keep = (rng.random(p.shape) >= dropout) / (1.0 - dropout)
-        pd = p * keep
-    else:
-        keep = None
-        pd = p
+        c = 1.0 / (1.0 - dropout)
+        pd = rng.random(p.shape)
+        keep = pd >= dropout
+        np.multiply(p, keep, out=pd)
+        pd *= c
     ctx = _merge_heads(pd @ v)
-    out = ctx @ w[f"{prefix}.Wo"] + w[f"{prefix}.bo"]
-    return out, (X, q, k, v, p, keep, pd, ctx, scale)
+    out = _affine(ctx, w[f"{prefix}.Wo"], w[f"{prefix}.bo"])
+    return out, (X, q, k, v, p, keep, c, ctx, scale)
 
 
 def _attn_backward(dout, cache, w, prefix, heads, grads):
-    X, q, k, v, p, keep, pd, ctx, scale = cache
-    grads[f"{prefix}.Wo"] += _mat_grad(ctx, dout)
-    grads[f"{prefix}.bo"] += dout.sum((0, 1))
+    X, q, k, v, p, keep, c, ctx, scale = cache
+    grads[f"{prefix}.Wo"] = _mat_grad(ctx, dout)
+    grads[f"{prefix}.bo"] = dout.sum((0, 1))
     dctx = _split_heads(dout @ w[f"{prefix}.Wo"].T, heads)
-    dpd = dctx @ v.transpose(0, 1, 3, 2)
-    dv = pd.transpose(0, 1, 3, 2) @ dctx
-    dp = dpd * keep if keep is not None else dpd
-    ds = p * (dp - (dp * p).sum(-1, keepdims=True))
-    dq = (ds @ k) * scale
-    dk = (ds.transpose(0, 1, 3, 2) @ q) * scale
-    dX = np.zeros_like(X)
+    dp = dctx @ v.transpose(0, 1, 3, 2)
+    if keep is None:
+        dv = p.transpose(0, 1, 3, 2) @ dctx
+        tmp = dp * p
+    else:
+        tmp = p * keep  # the forward's dropped weights, rebuilt instead of cached
+        tmp *= c
+        dv = tmp.transpose(0, 1, 3, 2) @ dctx
+        dp *= keep
+        dp *= c
+        np.multiply(dp, p, out=tmp)
+    dp -= tmp.sum(-1, keepdims=True)
+    dp *= p  # now the score gradient
+    dq = dp @ k
+    dq *= scale
+    dk = dp.transpose(0, 1, 3, 2) @ q
+    dk *= scale
+    dX = None
     for dpart, wname, bname in ((dq, "Wq", "bq"), (dk, "Wk", "bk"), (dv, "Wv", "bv")):
         merged = _merge_heads(dpart)
-        grads[f"{prefix}.{wname}"] += _mat_grad(X, merged)
-        grads[f"{prefix}.{bname}"] += merged.sum((0, 1))
-        dX += merged @ w[f"{prefix}.{wname}"].T
+        grads[f"{prefix}.{wname}"] = _mat_grad(X, merged)
+        grads[f"{prefix}.{bname}"] = merged.sum((0, 1))
+        part = merged @ w[f"{prefix}.{wname}"].T
+        dX = part if dX is None else np.add(dX, part, out=dX)
     return dX
 
 
-def _block_forward(X, mask, w, prefix, enc: EncoderConfig, rng, train):
+def _block_forward(X, mask, bias, w, prefix, enc: EncoderConfig, rng, train):
     """One post-norm encoder block; masked rows are zeroed on output."""
-    attn_out, attn_cache = _attn_forward(
-        X, mask, w, f"{prefix}.attn", enc.heads, enc.dropout_rate, rng, train
+    s, attn_cache = _attn_forward(
+        X, bias, w, f"{prefix}.attn", enc.heads, enc.dropout_rate, rng, train
     )
-    h, ln1_cache = _ln_forward(X + attn_out, w[f"{prefix}.ln1.g"], w[f"{prefix}.ln1.b"])
-    h1 = h @ w[f"{prefix}.ffn.W1"] + w[f"{prefix}.ffn.b1"]
-    r = np.maximum(h1, 0.0)
+    s += X
+    h, ln1_cache = _ln_forward(s, w[f"{prefix}.ln1.g"], w[f"{prefix}.ln1.b"])
+    rd = _affine(h, w[f"{prefix}.ffn.W1"], w[f"{prefix}.ffn.b1"])
+    np.maximum(rd, 0.0, out=rd)
+    c = None
     if train and enc.dropout_rate > 0.0:
-        keep = (rng.random(r.shape) >= enc.dropout_rate) / (1.0 - enc.dropout_rate)
-        rd = r * keep
-    else:
-        keep = None
-        rd = r
-    f = rd @ w[f"{prefix}.ffn.W2"] + w[f"{prefix}.ffn.b2"]
-    y0, ln2_cache = _ln_forward(h + f, w[f"{prefix}.ln2.g"], w[f"{prefix}.ln2.b"])
-    y = y0 * mask[:, :, None]
-    return y, (attn_cache, ln1_cache, h, h1, keep, rd, ln2_cache, mask)
+        rd *= rng.random(rd.shape) >= enc.dropout_rate
+        c = 1.0 / (1.0 - enc.dropout_rate)
+        rd *= c
+    f = _affine(rd, w[f"{prefix}.ffn.W2"], w[f"{prefix}.ffn.b2"])
+    f += h
+    y, ln2_cache = _ln_forward(f, w[f"{prefix}.ln2.g"], w[f"{prefix}.ln2.b"])
+    y *= mask[:, :, None]
+    return y, (attn_cache, ln1_cache, h, rd, c, ln2_cache, mask)
 
 
 def _block_backward(dy, cache, w, prefix, enc: EncoderConfig, grads):
-    attn_cache, ln1_cache, h, h1, keep, rd, ln2_cache, mask = cache
-    dy0 = dy * mask[:, :, None]
-    ds2, dg2, db2 = _ln_backward(dy0, ln2_cache)
-    grads[f"{prefix}.ln2.g"] += dg2
-    grads[f"{prefix}.ln2.b"] += db2
-    dh = ds2.copy()
-    grads[f"{prefix}.ffn.W2"] += _mat_grad(rd, ds2)
-    grads[f"{prefix}.ffn.b2"] += ds2.sum((0, 1))
-    drd = ds2 @ w[f"{prefix}.ffn.W2"].T
-    dr = drd * keep if keep is not None else drd
-    dh1 = dr * (h1 > 0.0)
-    grads[f"{prefix}.ffn.W1"] += _mat_grad(h, dh1)
-    grads[f"{prefix}.ffn.b1"] += dh1.sum((0, 1))
-    dh += dh1 @ w[f"{prefix}.ffn.W1"].T
-    ds1, dg1, db1 = _ln_backward(dh, ln1_cache)
-    grads[f"{prefix}.ln1.g"] += dg1
-    grads[f"{prefix}.ln1.b"] += db1
-    dx = ds1 + _attn_backward(ds1, attn_cache, w, f"{prefix}.attn", enc.heads, grads)
+    attn_cache, ln1_cache, h, rd, c, ln2_cache, mask = cache
+    ds2, grads[f"{prefix}.ln2.g"], grads[f"{prefix}.ln2.b"] = _ln_backward(
+        dy * mask[:, :, None], ln2_cache
+    )
+    grads[f"{prefix}.ffn.W2"] = _mat_grad(rd, ds2)
+    grads[f"{prefix}.ffn.b2"] = ds2.sum((0, 1))
+    dh1 = ds2 @ w[f"{prefix}.ffn.W2"].T
+    # rd > 0 exactly where the unit was active and kept. Masking before scaling
+    # by c gives the same bits, signed zeros included, as scaling by the float
+    # dropout mask first and then masking by the pre-ReLU sign.
+    dh1 *= rd > 0.0
+    if c is not None:
+        dh1 *= c
+    grads[f"{prefix}.ffn.W1"] = _mat_grad(h, dh1)
+    grads[f"{prefix}.ffn.b1"] = dh1.sum((0, 1))
+    dh = dh1 @ w[f"{prefix}.ffn.W1"].T
+    dh += ds2
+    ds1, grads[f"{prefix}.ln1.g"], grads[f"{prefix}.ln1.b"] = _ln_backward(dh, ln1_cache)
+    dx = _attn_backward(ds1, attn_cache, w, f"{prefix}.attn", enc.heads, grads)
+    dx += ds1
     return dx
 
 
 def _encoder_forward(Z, mask, w, name, enc: EncoderConfig, rng, train):
     """Block stack plus the additive skip from Z; masked rows zeroed."""
+    bias = _mask_bias(mask, Z.dtype)
     cur = Z
     caches = []
     for i in range(enc.blocks):
-        cur, c = _block_forward(cur, mask, w, f"{name}.{i}", enc, rng, train)
+        cur, c = _block_forward(cur, mask, bias, w, f"{name}.{i}", enc, rng, train)
         caches.append(c)
-    out = (cur + Z) * mask[:, :, None]
-    return out, caches
+    cur += Z  # the last block's output is cached nowhere
+    cur *= mask[:, :, None]
+    return cur, caches
 
 
 def _encoder_backward(dout, caches, mask, w, name, enc: EncoderConfig, grads):
-    g = dout * mask[:, :, None]
-    dcur = g
+    """Input gradient of _encoder_forward. Overwrites dout with its masked self."""
+    dout *= mask[:, :, None]
+    dcur = dout
     for i in reversed(range(enc.blocks)):
         dcur = _block_backward(dcur, caches[i], w, f"{name}.{i}", enc, grads)
-    return dcur + g  # block-stack input grad plus the skip branch
-
-
-# ---------------------------------------------------------------------------
-# Public single-record layer operations
-
-
-def masked_attention(
-    X: np.ndarray, mask: np.ndarray, weights: dict[str, np.ndarray], heads: int
-) -> np.ndarray:
-    """Single-sequence masked multi-head attention (evaluation mode).
-
-    weights uses keys Wq/Wk/Wv/Wo and bq/bk/bv/bo. Key positions with
-    mask=false receive zero attention weight; rows at masked query positions
-    are computed but carry no meaning downstream.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise DegenerateInputError("attention needs at least one unmasked position")
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != mask.shape[0]:
-        raise ConfigurationError(f"X shape {X.shape} inconsistent with mask {mask.shape}")
-    w = {f"attn.{k}": np.asarray(v, dtype=np.float64) for k, v in weights.items()}
-    out, _ = _attn_forward(X[None], mask[None], w, "attn", heads, 0.0, None, False)
-    return out[0]
-
-
-def encoder_block(
-    X: np.ndarray, mask: np.ndarray, params: dict[str, np.ndarray], heads: int
-) -> np.ndarray:
-    """Single-sequence encoder block (evaluation mode).
-
-    params holds attn.{Wq..bo}, ln1.{g,b}, ffn.{W1,b1,W2,b2}, ln2.{g,b}.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    mask = np.asarray(mask, dtype=bool)
-    if X.ndim != 2 or X.shape[0] != mask.shape[0]:
-        raise ConfigurationError(f"X shape {X.shape} inconsistent with mask {mask.shape}")
-    d = X.shape[1]
-    if params["attn.Wq"].shape != (d, d):
-        raise ConfigurationError("attention weights do not match input width")
-    if not mask.any():
-        raise DegenerateInputError("encoder block needs at least one unmasked position")
-    w = {f"blk.{k}": np.asarray(v, dtype=np.float64) for k, v in params.items()}
-    enc = EncoderConfig(d, params["ffn.W1"].shape[1], heads, 1, 0.0)
-    out, _ = _block_forward(X[None], mask[None], w, "blk", enc, None, False)
-    return out[0]
+    dcur += dout  # block-stack input grad plus the skip branch
+    return dcur
 
 
 # ---------------------------------------------------------------------------
 # Full forward (batched) and backward
 
 
-def _check_streams(params: ModelParams, A, B, C):
+def _check_streams(params: ModelParams, A, B, C, mask):
     cfg = params.config
     if isinstance(cfg, LateFusionConfig):
         pairs = (("a.proj.W", A), ("b.proj.W", B), ("c.proj.W", C))
@@ -493,6 +491,10 @@ def _check_streams(params: ModelParams, A, B, C):
             raise ConfigurationError(
                 f"concatenated width {total} does not match early-fusion projection"
             )
+    if not (A.shape[:2] == B.shape[:2] == C.shape[:2] == mask.shape):
+        raise ConfigurationError(f"mask shape {mask.shape} inconsistent with streams")
+    if not mask.any(1).all():
+        raise DegenerateInputError("every row needs at least one unmasked position")
 
 
 def forward_batch(
@@ -508,9 +510,10 @@ def forward_batch(
 ):
     """Batched forward pass for either architecture.
 
-    A/B/C are (N,T,dim) stream arrays, mask is (N,T) bool. Returns
-    (class_probs (N,K), embedding_pred (N,embed_dim), cache or None).
-    Stream toggles zero out excluded streams before projection (ablations).
+    A/B/C are (N,T,dim) stream arrays, mask is (N,T) bool with at least one
+    true entry per row. Returns (class_probs (N,K), embedding_pred
+    (N,embed_dim), cache or None). Stream toggles zero out excluded streams
+    before projection (ablations).
 
     Inference (train and need_cache both false) runs over blocks of
     max(1, 128 // T) consecutive rows and concatenates the outputs. Rows are
@@ -521,7 +524,7 @@ def forward_batch(
     pass of 32 rows than in blocks of 3). Training and cached passes run the
     whole batch at once.
     """
-    _check_streams(params, A, B, C)
+    _check_streams(params, A, B, C, mask)
     if train and params.config.dropout_rate > 0.0 and rng is None:
         raise ConfigurationError("training-mode forward with dropout needs an rng")
     if not all(toggles):
@@ -552,25 +555,20 @@ def _forward(params, A, B, C, mask, train=False, rng=None, need_cache=False):
         encs = cfg.encoders()
         outs = []
         for name, x, d in (("a", A, cfg.d_a), ("b", B, cfg.d_b), ("c", C, cfg.d_c)):
-            pe = positional_encoding(T, d)
-            z = x @ w[f"{name}.proj.W"] + w[f"{name}.proj.b"] + pe
-            out, blk_caches = _encoder_forward(z, mask, w, name, encs[name], rng, train)
-            cache[f"enc.{name}"] = blk_caches
+            z = _affine(x, w[f"{name}.proj.W"], w[f"{name}.proj.b"])
+            z += positional_encoding(T, d)
+            out, cache[f"enc.{name}"] = _encoder_forward(z, mask, w, name, encs[name], rng, train)
             outs.append(out)
         zf = np.concatenate(outs, axis=-1)
-        cache["zf"] = zf
-        enc_out, f_caches = _encoder_forward(zf, mask, w, "f", encs["f"], rng, train)
-        cache["enc.f"] = f_caches
+        enc_out, cache["enc.f"] = _encoder_forward(zf, mask, w, "f", encs["f"], rng, train)
     else:
         x = np.concatenate([A, B, C], axis=-1)
         cache["x"] = x
-        pe = positional_encoding(T, cfg.d_model)
-        z = x @ w["f.proj.W"] + w["f.proj.b"] + pe
-        cache["zf"] = z
-        enc_out, f_caches = _encoder_forward(z, mask, w, "f", cfg.encoder(), rng, train)
-        cache["enc.f"] = f_caches
+        z = _affine(x, w["f.proj.W"], w["f.proj.b"])
+        z += positional_encoding(T, cfg.d_model)
+        enc_out, cache["enc.f"] = _encoder_forward(z, mask, w, "f", cfg.encoder(), rng, train)
 
-    nreal = mask.sum(1).astype(np.float64)
+    nreal = mask.sum(1).astype(enc_out.dtype)
     pooled = enc_out.sum(1) / nreal[:, None]  # masked rows are exactly zero
     logits = pooled @ w["head.cls.W"] + w["head.cls.b"]
     shifted = logits - logits.max(-1, keepdims=True)
@@ -587,35 +585,30 @@ def _backward_batch(params: ModelParams, cache, dprobs, demb):
     """Backward through forward_batch given dL/dprobs and dL/demb."""
     w = params.tensors
     cfg = params.config
-    grads = {k: np.zeros_like(v) for k, v in w.items()}
+    grads: dict[str, np.ndarray] = {}
     probs, pooled, mask, nreal = cache["probs"], cache["pooled"], cache["mask"], cache["nreal"]
 
     dlogits = probs * (dprobs - (dprobs * probs).sum(-1, keepdims=True))
-    grads["head.cls.W"] += pooled.T @ dlogits
-    grads["head.cls.b"] += dlogits.sum(0)
-    grads["head.emb.W"] += pooled.T @ demb
-    grads["head.emb.b"] += demb.sum(0)
+    grads["head.cls.W"] = pooled.T @ dlogits
+    grads["head.cls.b"] = dlogits.sum(0)
+    grads["head.emb.W"] = pooled.T @ demb
+    grads["head.emb.b"] = demb.sum(0)
     dpooled = dlogits @ w["head.cls.W"].T + demb @ w["head.emb.W"].T
     denc_out = dpooled[:, None, :] * (mask[:, :, None] / nreal[:, None, None])
 
     if isinstance(cfg, LateFusionConfig):
         encs = cfg.encoders()
         dzf = _encoder_backward(denc_out, cache["enc.f"], mask, w, "f", encs["f"], grads)
-        splits = np.cumsum([cfg.d_a, cfg.d_b])
-        douts = np.split(dzf, splits, axis=-1)
-        for name, x, dout in (
-            ("a", cache["A"], douts[0]),
-            ("b", cache["B"], douts[1]),
-            ("c", cache["C"], douts[2]),
-        ):
+        douts = np.split(dzf, np.cumsum([cfg.d_a, cfg.d_b]), axis=-1)
+        for name, x, dout in zip("abc", (cache["A"], cache["B"], cache["C"]), douts):
             dz = _encoder_backward(dout, cache[f"enc.{name}"], mask, w, name, encs[name], grads)
-            grads[f"{name}.proj.W"] += _mat_grad(x, dz)
-            grads[f"{name}.proj.b"] += dz.sum((0, 1))
+            grads[f"{name}.proj.W"] = _mat_grad(x, dz)
+            grads[f"{name}.proj.b"] = dz.sum((0, 1))
     else:
         dz = _encoder_backward(denc_out, cache["enc.f"], mask, w, "f", cfg.encoder(), grads)
-        grads["f.proj.W"] += _mat_grad(cache["x"], dz)
-        grads["f.proj.b"] += dz.sum((0, 1))
-    return grads
+        grads["f.proj.W"] = _mat_grad(cache["x"], dz)
+        grads["f.proj.b"] = dz.sum((0, 1))
+    return {name: grads[name] for name in w}
 
 
 # ---------------------------------------------------------------------------
@@ -757,15 +750,15 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict]:
         raise FormatError(f"{path}: not a recognized checkpoint")
     if not isinstance(header.get("config"), dict) or not isinstance(header.get("tensors"), list):
         raise FormatError(f"{path}: checkpoint header lacks a config or a tensor list")
-    payload = buf[4 + hlen :]
+    payload_len = len(buf) - (4 + hlen)
     tensors = {}
     for entry in header["tensors"]:
         name, shape, start = _tensor_entry(path, entry)
-        end = start + 4 * int(np.prod(shape))
-        if end > len(payload):
+        count = math.prod(shape)
+        if start + 4 * count > payload_len:
             raise FormatError(f"{path}: tensor {name} extends past end of file")
-        arr = np.frombuffer(payload[start:end], dtype="<f4").reshape(shape)
-        tensors[name] = arr.astype(np.float64)
+        arr = np.frombuffer(buf, dtype="<f4", count=count, offset=4 + hlen + start)
+        tensors[name] = arr.reshape(shape).astype(np.float64)
     return header["config"], tensors, header.get("meta", {})
 
 

@@ -6,6 +6,7 @@ denominator at 1e-3 so near-zero coordinates (the attention query/key biases
 cancel exactly in softmax) do not blow up the ratio.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -22,16 +23,18 @@ from signrec.model import (
     config_from_json,
     cosine_loss,
     cross_entropy,
-    encoder_block,
     forward_batch,
     init_params,
     label_smooth,
-    layer_norm,
     load_model,
     loss_and_grads,
-    masked_attention,
     positional_encoding,
     save_model,
+    _attn_forward,
+    _backward_batch,
+    _block_forward,
+    _ln_forward,
+    _mask_bias,
 )
 from conftest import random_stream_batch
 
@@ -73,7 +76,7 @@ def test_layer_norm_oracle():
     x = rng.standard_normal((3, 6))
     g = rng.standard_normal(6)
     b = rng.standard_normal(6)
-    got = layer_norm(x, g, b)
+    got, _ = _ln_forward(x.copy(), g, b)
     mu = x.mean(-1, keepdims=True)
     var = x.var(-1, keepdims=True)
     want = (x - mu) / np.sqrt(var + 1e-5) * g + b
@@ -97,12 +100,20 @@ def attn_weights(rng, d, scale=0.5):
     }
 
 
+def attention(x, mask, weights, heads):
+    """_attn_forward in evaluation mode on one (T,d) sequence."""
+    w = {f"attn.{k}": v for k, v in weights.items()}
+    bias = _mask_bias(mask[None], x.dtype)
+    out, _ = _attn_forward(x[None], bias, w, "attn", heads, 0.0, None, False)
+    return out[0]
+
+
 def test_attention_single_key_returns_value():
     rng = np.random.default_rng(1)
     d = 6
     w = attn_weights(rng, d)
     x = rng.standard_normal((1, d))
-    got = masked_attention(x, np.array([True]), w, heads=2)
+    got = attention(x, np.array([True]), w, heads=2)
     want = (x @ w["Wv"] + w["bv"]) @ w["Wo"] + w["bo"]
     npt.assert_allclose(got, want, rtol=1e-10)
 
@@ -113,7 +124,7 @@ def test_attention_identical_rows_average_values():
     w = attn_weights(rng, d)
     row = rng.standard_normal(d)
     x = np.tile(row, (3, 1))
-    got = masked_attention(x, np.ones(3, dtype=bool), w, heads=2)
+    got = attention(x, np.ones(3, dtype=bool), w, heads=2)
     want = (row @ w["Wv"] + w["bv"]) @ w["Wo"] + w["bo"]
     for t in range(3):
         npt.assert_allclose(got[t], want, rtol=1e-10)
@@ -125,19 +136,21 @@ def test_attention_truncation_equivalence():
     w = attn_weights(rng, d)
     x = rng.standard_normal((3, d))
     mask = np.array([True, True, False])
-    full = masked_attention(x, mask, w, heads=2)
-    short = masked_attention(x[:2], np.ones(2, dtype=bool), w, heads=2)
+    full = attention(x, mask, w, heads=2)
+    short = attention(x[:2], np.ones(2, dtype=bool), w, heads=2)
     npt.assert_allclose(full[:2], short, rtol=1e-10)
 
 
-def test_attention_errors():
+def test_attention_errors(tiny_late_config):
+    # forward_batch is where a mask enters the model, so it checks it there
     rng = np.random.default_rng(4)
-    w = attn_weights(rng, 4)
-    x = rng.standard_normal((2, 4))
+    params = init_params(tiny_late_config, rng)
+    a, b, c, mask = random_stream_batch(rng, n=2, T=4, pad=0)
+    mask[1] = False
     with pytest.raises(DegenerateInputError):
-        masked_attention(x, np.zeros(2, dtype=bool), w, heads=2)
+        forward_batch(params, a, b, c, mask)
     with pytest.raises(ConfigurationError):
-        masked_attention(x, np.ones(3, dtype=bool), w, heads=2)
+        forward_batch(params, a, b, c, np.ones((2, 5), dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +172,15 @@ def block_params(rng, d, ffn):
         }
     )
     return p
+
+
+def encoder_block(x, mask, params, heads):
+    """_block_forward in evaluation mode on one (T,d) sequence."""
+    w = {f"blk.{k}": v for k, v in params.items()}
+    enc = EncoderConfig(x.shape[1], params["ffn.W1"].shape[1], heads, 1, 0.0)
+    bias = _mask_bias(mask[None], x.dtype)
+    out, _ = _block_forward(x[None], mask[None], bias, w, "blk", enc, None, False)
+    return out[0]
 
 
 def test_encoder_block_shape_preserved():
@@ -183,8 +205,8 @@ def test_encoder_block_degenerate_weights_double_layernorm():
     x = rng.standard_normal((4, d))
     mask = np.ones(4, dtype=bool)
     got = encoder_block(x, mask, p, heads=2)
-    h = layer_norm(x, p["ln1.g"], p["ln1.b"])
-    want = layer_norm(h, p["ln2.g"], p["ln2.b"])
+    h, _ = ref_ln_forward(x, p["ln1.g"], p["ln1.b"])
+    want, _ = ref_ln_forward(h, p["ln2.g"], p["ln2.b"])
     npt.assert_allclose(got, want, rtol=1e-10)
 
 
@@ -283,6 +305,324 @@ def test_config_validation_and_json_roundtrip(tiny_late_config, tiny_early_confi
         config_from_json({"arch": "middle", "num_classes": 4})
     with pytest.raises(FormatError):
         config_from_json({"arch": "late", "num_classes": 4, "bogus": 1})
+
+
+# ---------------------------------------------------------------------------
+# allocating oracle
+#
+# The layer functions as they were before the pass took ownership of its
+# buffers: every op allocates a fresh array, dropout masks are float, the
+# pre-ReLU activation is cached and gradients start from zero arrays. The
+# in-place pass must give the same bits.
+
+
+def ref_ln_forward(x, g, b):
+    mu = x.mean(-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = xc * inv
+    return g * xhat + b, (xhat, inv, g)
+
+
+def ref_ln_backward(dy, cache):
+    xhat, inv, g = cache
+    dg = (dy * xhat).sum(axis=tuple(range(dy.ndim - 1)))
+    db = dy.sum(axis=tuple(range(dy.ndim - 1)))
+    dxhat = dy * g
+    dx = inv * (
+        dxhat - dxhat.mean(-1, keepdims=True) - xhat * (dxhat * xhat).mean(-1, keepdims=True)
+    )
+    return dx, dg, db
+
+
+def ref_split(x, heads):
+    B, T, d = x.shape
+    return x.reshape(B, T, heads, d // heads).transpose(0, 2, 1, 3)
+
+
+def ref_merge(x):
+    B, h, T, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(B, T, h * dh)
+
+
+def ref_mat_grad(x, dy):
+    return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
+
+
+def ref_attn_forward(X, mask, w, prefix, heads, dropout, rng, train):
+    q = ref_split(X @ w[f"{prefix}.Wq"] + w[f"{prefix}.bq"], heads)
+    k = ref_split(X @ w[f"{prefix}.Wk"] + w[f"{prefix}.bk"], heads)
+    v = ref_split(X @ w[f"{prefix}.Wv"] + w[f"{prefix}.bv"], heads)
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    scores = (q @ k.transpose(0, 1, 3, 2)) * scale
+    scores = scores + np.where(mask[:, None, None, :], 0.0, -1e30)
+    scores -= scores.max(-1, keepdims=True)
+    e = np.exp(scores)
+    p = e / e.sum(-1, keepdims=True)
+    if train and dropout > 0.0:
+        keep = (rng.random(p.shape) >= dropout) / (1.0 - dropout)
+        pd = p * keep
+    else:
+        keep = None
+        pd = p
+    ctx = ref_merge(pd @ v)
+    out = ctx @ w[f"{prefix}.Wo"] + w[f"{prefix}.bo"]
+    return out, (X, q, k, v, p, keep, pd, ctx, scale)
+
+
+def ref_attn_backward(dout, cache, w, prefix, heads, grads):
+    X, q, k, v, p, keep, pd, ctx, scale = cache
+    grads[f"{prefix}.Wo"] += ref_mat_grad(ctx, dout)
+    grads[f"{prefix}.bo"] += dout.sum((0, 1))
+    dctx = ref_split(dout @ w[f"{prefix}.Wo"].T, heads)
+    dpd = dctx @ v.transpose(0, 1, 3, 2)
+    dv = pd.transpose(0, 1, 3, 2) @ dctx
+    dp = dpd * keep if keep is not None else dpd
+    ds = p * (dp - (dp * p).sum(-1, keepdims=True))
+    dq = (ds @ k) * scale
+    dk = (ds.transpose(0, 1, 3, 2) @ q) * scale
+    dX = np.zeros_like(X)
+    for dpart, wname, bname in ((dq, "Wq", "bq"), (dk, "Wk", "bk"), (dv, "Wv", "bv")):
+        merged = ref_merge(dpart)
+        grads[f"{prefix}.{wname}"] += ref_mat_grad(X, merged)
+        grads[f"{prefix}.{bname}"] += merged.sum((0, 1))
+        dX += merged @ w[f"{prefix}.{wname}"].T
+    return dX
+
+
+def ref_block_forward(X, mask, w, prefix, enc, rng, train):
+    attn_out, attn_cache = ref_attn_forward(
+        X, mask, w, f"{prefix}.attn", enc.heads, enc.dropout_rate, rng, train
+    )
+    h, ln1_cache = ref_ln_forward(X + attn_out, w[f"{prefix}.ln1.g"], w[f"{prefix}.ln1.b"])
+    h1 = h @ w[f"{prefix}.ffn.W1"] + w[f"{prefix}.ffn.b1"]
+    r = np.maximum(h1, 0.0)
+    if train and enc.dropout_rate > 0.0:
+        keep = (rng.random(r.shape) >= enc.dropout_rate) / (1.0 - enc.dropout_rate)
+        rd = r * keep
+    else:
+        keep = None
+        rd = r
+    f = rd @ w[f"{prefix}.ffn.W2"] + w[f"{prefix}.ffn.b2"]
+    y0, ln2_cache = ref_ln_forward(h + f, w[f"{prefix}.ln2.g"], w[f"{prefix}.ln2.b"])
+    return y0 * mask[:, :, None], (attn_cache, ln1_cache, h, h1, keep, rd, ln2_cache, mask)
+
+
+def ref_block_backward(dy, cache, w, prefix, enc, grads):
+    attn_cache, ln1_cache, h, h1, keep, rd, ln2_cache, mask = cache
+    ds2, dg2, db2 = ref_ln_backward(dy * mask[:, :, None], ln2_cache)
+    grads[f"{prefix}.ln2.g"] += dg2
+    grads[f"{prefix}.ln2.b"] += db2
+    dh = ds2.copy()
+    grads[f"{prefix}.ffn.W2"] += ref_mat_grad(rd, ds2)
+    grads[f"{prefix}.ffn.b2"] += ds2.sum((0, 1))
+    drd = ds2 @ w[f"{prefix}.ffn.W2"].T
+    dr = drd * keep if keep is not None else drd
+    dh1 = dr * (h1 > 0.0)
+    grads[f"{prefix}.ffn.W1"] += ref_mat_grad(h, dh1)
+    grads[f"{prefix}.ffn.b1"] += dh1.sum((0, 1))
+    dh += dh1 @ w[f"{prefix}.ffn.W1"].T
+    ds1, dg1, db1 = ref_ln_backward(dh, ln1_cache)
+    grads[f"{prefix}.ln1.g"] += dg1
+    grads[f"{prefix}.ln1.b"] += db1
+    return ds1 + ref_attn_backward(ds1, attn_cache, w, f"{prefix}.attn", enc.heads, grads)
+
+
+def ref_encoder_forward(Z, mask, w, name, enc, rng, train):
+    cur = Z
+    caches = []
+    for i in range(enc.blocks):
+        cur, c = ref_block_forward(cur, mask, w, f"{name}.{i}", enc, rng, train)
+        caches.append(c)
+    return (cur + Z) * mask[:, :, None], caches
+
+
+def ref_encoder_backward(dout, caches, mask, w, name, enc, grads):
+    g = dout * mask[:, :, None]
+    dcur = g
+    for i in reversed(range(enc.blocks)):
+        dcur = ref_block_backward(dcur, caches[i], w, f"{name}.{i}", enc, grads)
+    return dcur + g
+
+
+def ref_forward(params, A, B, C, mask, train=False, rng=None):
+    """(probs, emb, cache) of one pass over the whole batch."""
+    cfg, w = params.config, params.tensors
+    T = A.shape[1]
+    cache = {"A": A, "B": B, "C": C, "mask": mask}
+    if isinstance(cfg, LateFusionConfig):
+        encs = cfg.encoders()
+        outs = []
+        for name, x, d in (("a", A, cfg.d_a), ("b", B, cfg.d_b), ("c", C, cfg.d_c)):
+            z = x @ w[f"{name}.proj.W"] + w[f"{name}.proj.b"] + positional_encoding(T, d)
+            out, cache[f"enc.{name}"] = ref_encoder_forward(
+                z, mask, w, name, encs[name], rng, train
+            )
+            outs.append(out)
+        zf = np.concatenate(outs, axis=-1)
+        enc_out, cache["enc.f"] = ref_encoder_forward(zf, mask, w, "f", encs["f"], rng, train)
+    else:
+        x = np.concatenate([A, B, C], axis=-1)
+        cache["x"] = x
+        z = x @ w["f.proj.W"] + w["f.proj.b"] + positional_encoding(T, cfg.d_model)
+        enc_out, cache["enc.f"] = ref_encoder_forward(z, mask, w, "f", cfg.encoder(), rng, train)
+    nreal = mask.sum(1).astype(np.float64)
+    pooled = enc_out.sum(1) / nreal[:, None]
+    logits = pooled @ w["head.cls.W"] + w["head.cls.b"]
+    e = np.exp(logits - logits.max(-1, keepdims=True))
+    probs = e / e.sum(-1, keepdims=True)
+    emb = pooled @ w["head.emb.W"] + w["head.emb.b"]
+    cache.update(pooled=pooled, probs=probs, nreal=nreal)
+    return probs, emb, cache
+
+
+def ref_loss_and_grads(params, A, B, C, mask, targets, target_emb, rng):
+    """loss_and_grads in training mode at the default loss weights."""
+    cw, ew, n = 1.8, 0.5, A.shape[0]
+    cfg, w = params.config, params.tensors
+    probs, emb, cache = ref_forward(params, A, B, C, mask, True, rng)
+    tn = np.linalg.norm(target_emb, axis=1)
+    pn = np.maximum(np.linalg.norm(emb, axis=1), 1e-12)
+    clamped = np.maximum(probs, 1e-12)
+    ce = -(targets * np.log(clamped)).sum(-1)
+    cos = (emb * target_emb).sum(-1) / (pn * tn)
+    loss = float(np.mean(cw * ce - ew * cos))
+    dprobs = np.where(probs > 1e-12, -targets / clamped, 0.0) * (cw / n)
+    demb = (ew / n) * (-target_emb / (pn * tn)[:, None] + (cos / (pn * pn))[:, None] * emb)
+
+    grads = {k: np.zeros_like(v) for k, v in w.items()}
+    pooled, nreal = cache["pooled"], cache["nreal"]
+    dlogits = probs * (dprobs - (dprobs * probs).sum(-1, keepdims=True))
+    grads["head.cls.W"] += pooled.T @ dlogits
+    grads["head.cls.b"] += dlogits.sum(0)
+    grads["head.emb.W"] += pooled.T @ demb
+    grads["head.emb.b"] += demb.sum(0)
+    dpooled = dlogits @ w["head.cls.W"].T + demb @ w["head.emb.W"].T
+    denc_out = dpooled[:, None, :] * (mask[:, :, None] / nreal[:, None, None])
+    if isinstance(cfg, LateFusionConfig):
+        encs = cfg.encoders()
+        dzf = ref_encoder_backward(denc_out, cache["enc.f"], mask, w, "f", encs["f"], grads)
+        douts = np.split(dzf, np.cumsum([cfg.d_a, cfg.d_b]), axis=-1)
+        for name, x, dout in zip("abc", (A, B, C), douts):
+            dz = ref_encoder_backward(dout, cache[f"enc.{name}"], mask, w, name, encs[name], grads)
+            grads[f"{name}.proj.W"] += ref_mat_grad(x, dz)
+            grads[f"{name}.proj.b"] += dz.sum((0, 1))
+    else:
+        dz = ref_encoder_backward(denc_out, cache["enc.f"], mask, w, "f", cfg.encoder(), grads)
+        grads["f.proj.W"] += ref_mat_grad(cache["x"], dz)
+        grads["f.proj.b"] += dz.sum((0, 1))
+    return loss, grads, probs, emb
+
+
+def assert_same_bits(got, want):
+    """Equal structure, and every array equal in dtype, shape and bytes."""
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    elif isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for k in want:
+            assert_same_bits(got[k], want[k])
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
+    else:
+        assert got == want
+
+
+def snapshot(obj):
+    """Deep copy of the arrays in a nested cache of dicts, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        return obj.copy()
+    if isinstance(obj, dict):
+        return {k: snapshot(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(snapshot(v) for v in obj)
+    return obj
+
+
+def padded_batch(rng, lengths, T):
+    a, b, c, mask = random_stream_batch(rng, n=len(lengths), T=T, pad=0)
+    for i, real in enumerate(lengths):
+        mask[i, real:] = False
+        a[i, real:] = b[i, real:] = c[i, real:] = 0.0
+    return a, b, c, mask
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("arch", ["late", "early"])
+def test_training_pass_matches_allocating_oracle(arch, blocks, tiny_late_config, tiny_early_config):
+    base = tiny_late_config if arch == "late" else tiny_early_config
+    cfg = dataclasses.replace(base, blocks=blocks)
+    assert cfg.dropout_rate > 0.0
+    rng = np.random.default_rng(21)
+    params = init_params(cfg, rng)
+    a, b, c, mask = padded_batch(rng, (9, 3, 1, 9, 6), T=9)
+    targets = label_smooth(np.eye(4)[[0, 3, 1, 2, 3]])
+    temb = rng.standard_normal((5, 300))
+    inputs = (a, b, c, mask, targets, temb)
+    before = snapshot((inputs, params.tensors))
+
+    loss, grads, probs = loss_and_grads(params, *inputs, train=True, rng=np.random.default_rng(5))
+    want_loss, want_grads, want_probs, want_emb = ref_loss_and_grads(
+        params, *inputs, rng=np.random.default_rng(5)
+    )
+    assert loss == want_loss
+    assert list(grads) == list(params.tensors)
+    assert_same_bits(grads, want_grads)
+    assert_same_bits(probs, want_probs)
+    assert_same_bits((inputs, params.tensors), before)
+
+    # the cached training forward gives the same embeddings, and neither a
+    # later pass nor a backward through the cache writes to it
+    p, emb, cache = forward_batch(
+        params, a, b, c, mask, train=True, rng=np.random.default_rng(5), need_cache=True
+    )
+    assert_same_bits((p, emb), (want_probs, want_emb))
+    kept = snapshot(cache)
+    loss_and_grads(params, *inputs, train=True, rng=np.random.default_rng(6))
+    _backward_batch(params, cache, np.ones_like(p), np.ones_like(emb))
+    assert_same_bits(cache, kept)
+    assert_same_bits((inputs, params.tensors), before)
+
+
+@pytest.mark.parametrize("arch", ["late", "early"])
+def test_inference_matches_allocating_oracle(arch):
+    cfg = LateFusionConfig(num_classes=5) if arch == "late" else EarlyFusionConfig(num_classes=5)
+    rng = np.random.default_rng(22)
+    params = init_params(cfg, rng)
+    T = 40
+    lengths = rng.integers(1, T + 1, size=32)
+    a, b, c, mask = padded_batch(rng, lengths, T)
+    before = snapshot(((a, b, c, mask), params.tensors))
+    rows = 128 // T  # forward_batch's inference block
+    for n in (1, 32):
+        streams = [x[:n] for x in (a, b, c, mask)]
+        probs, emb, cache = forward_batch(params, *streams)
+        assert cache is None
+        want = [ref_forward(params, *(x[i : i + rows] for x in streams)) for i in range(0, n, rows)]
+        assert_same_bits(probs, np.concatenate([p for p, _, _ in want]))
+        assert_same_bits(emb, np.concatenate([e for _, e, _ in want]))
+    assert_same_bits(((a, b, c, mask), params.tensors), before)
+
+
+def test_float32_params_and_streams_give_float32_outputs(tiny_late_config, tiny_early_config):
+    rng = np.random.default_rng(23)
+    a, b, c, mask = padded_batch(rng, (40, 12, 1, 33, 40, 7, 20), T=40)
+    f32 = [x.astype(np.float32) for x in (a, b, c)]
+    for cfg in (tiny_late_config, tiny_early_config):
+        params = init_params(cfg, np.random.default_rng(8))
+        params32 = ModelParams(cfg, {k: v.astype(np.float32) for k, v in params.tensors.items()})
+        # reference: the same float32 values, computed in float64
+        want_p, want_e, _ = forward_batch(params32, *(x.astype(np.float64) for x in f32), mask)
+        for n in (1, 7):  # one pass, and three inference blocks
+            probs, emb, _ = forward_batch(params32, *(x[:n] for x in f32), mask[:n])
+            assert probs.dtype == np.float32 and emb.dtype == np.float32
+            npt.assert_allclose(probs, want_p[:n], atol=1e-5)
+            npt.assert_allclose(emb, want_e[:n], rtol=1e-4, atol=1e-5)
 
 
 # ---------------------------------------------------------------------------
