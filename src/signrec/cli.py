@@ -222,8 +222,11 @@ def cmd_ensemble(args) -> None:
     if args.chromosome:
         chromosome = _parse_chromosome(args.chromosome)
     elif args.chromosome_file:
-        best = json.loads(Path(args.chromosome_file).read_text())
-        chromosome = eg.Chromosome(tuple(best["chromosome"]))
+        try:
+            best = json.loads(Path(args.chromosome_file).read_text())
+            chromosome = eg.Chromosome(tuple(best["chromosome"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{args.chromosome_file}: malformed chromosome file: {exc!r}") from exc
     else:
         raise ConfigurationError("provide --chromosome or --chromosome-file")
     dataset = _dataset(args.data or doc.get("data"))

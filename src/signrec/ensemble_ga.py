@@ -18,15 +18,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    FormatError,
-    InvalidChromosomeError,
-    SelectionError,
-    TrainingDivergenceError,
-)
+from .errors import ConfigurationError, FormatError, InvalidChromosomeError, SelectionError
 from .featurestore import Dataset
-from .metrics import topk_accuracy
 from .model import (
     ModelParams,
     check_tensors,
@@ -38,7 +31,7 @@ from .model import (
     save_checkpoint,
 )
 from .preprocess import DEFAULT_T, StreamBatch, stack_batches
-from .train import AdamaxState, Checkpoint, TrainConfig, adamax_step, split_probabilities
+from .train import Checkpoint, TrainConfig, _fit_epochs, split_probabilities
 
 GENE_COUNT = 9
 MAX_LAYERS = 8
@@ -294,16 +287,14 @@ def _head_forward(params: EnsembleParams, x: np.ndarray, need_cache: bool = Fals
 
 
 def _head_backward(params: EnsembleParams, probs, last_h, cache, dprobs):
-    grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
     dlogits = probs * (dprobs - (dprobs * probs).sum(-1, keepdims=True))
-    grads["out.W"] += last_h.T @ dlogits
-    grads["out.b"] += dlogits.sum(0)
+    grads = {"out.W": last_h.T @ dlogits, "out.b": dlogits.sum(0)}
     dh = dlogits @ params.tensors["out.W"].T
     for i in reversed(range(params.chromosome.layer_count)):
         h_in, z = cache[i]
         dz = dh * (z > 0.0)
-        grads[f"h{i}.W"] += h_in.T @ dz
-        grads[f"h{i}.b"] += dz.sum(0)
+        grads[f"h{i}.W"] = h_in.T @ dz
+        grads[f"h{i}.b"] = dz.sum(0)
         dh = dz @ params.tensors[f"h{i}.W"].T
     return grads
 
@@ -380,54 +371,26 @@ def _fit_head(
 ) -> Checkpoint:
     """Adamax on label-smoothed cross-entropy over precomputed (N,2K) base outputs.
 
-    Returns the checkpoint with the best validation Top-1, earliest epoch on ties.
+    Checkpoint selection and the per-epoch log are _fit_epochs'.
     """
     init_rng, shuffle_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(2)
     )
     params = init_ensemble_params(chromosome, k, init_rng)
-    state = AdamaxState.zeros(params.tensors)
     eye = np.eye(k)
 
-    best: Optional[Checkpoint] = None
-    log_fh = open(log_path, "w") if log_path is not None else None
-    try:
-        step = 0
-        for epoch in range(1, config.epochs + 1):
-            order = shuffle_rng.permutation(len(x_train))
-            losses = []
-            for i in range(0, len(order), config.batch_size):
-                chunk = order[i : i + config.batch_size]
-                targets = label_smooth(eye[y_train[chunk]], config.label_smoothing)
-                probs, last_h, cache = _head_forward(params, x_train[chunk], need_cache=True)
-                clamped = np.maximum(probs, 1e-12)
-                loss = float(-(targets * np.log(clamped)).mean(0).sum())
-                if not np.isfinite(loss):
-                    raise TrainingDivergenceError(f"non-finite ensemble loss at epoch {epoch}")
-                dprobs = np.where(probs > 1e-12, -targets / clamped, 0.0) / len(chunk)
-                grads = _head_backward(params, probs, last_h, cache, dprobs)
-                step += 1
-                params.tensors, state = adamax_step(
-                    params.tensors, grads, state, step, config.learning_rate, config.weight_decay
-                )
-                losses.append(loss)
-            val_probs, _, _ = _head_forward(params, x_val)
-            val_top1 = topk_accuracy(val_probs, y_val, 1)
-            val_top5 = topk_accuracy(val_probs, y_val, 5)
-            if log_fh is not None:
-                entry = {
-                    "epoch": epoch,
-                    "train_loss": float(np.mean(losses)),
-                    "val_top1": val_top1,
-                    "val_top5": val_top5,
-                }
-                log_fh.write(json.dumps(entry) + "\n")
-            if best is None or val_top1 > best.val_top1:
-                best = Checkpoint(params.copy(), epoch, val_top1, val_top5)
-    finally:
-        if log_fh is not None:
-            log_fh.close()
-    return best
+    def batch_loss(params, chunk):
+        targets = label_smooth(eye[y_train[chunk]], config.label_smoothing)
+        probs, last_h, cache = _head_forward(params, x_train[chunk], need_cache=True)
+        clamped = np.maximum(probs, 1e-12)
+        loss = float(-(targets * np.log(clamped)).mean(0).sum())
+        dprobs = np.where(probs > 1e-12, -targets / clamped, 0.0) / len(chunk)
+        return loss, _head_backward(params, probs, last_h, cache, dprobs)
+
+    return _fit_epochs(
+        params, len(x_train), batch_loss, lambda params: _head_forward(params, x_val)[0],
+        y_val, config, shuffle_rng, log_path,
+    )
 
 
 def ensemble_train_config(epochs: int, seed: int = 0, **overrides) -> TrainConfig:

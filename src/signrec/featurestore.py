@@ -254,6 +254,8 @@ class EmbeddingTable:
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or vectors.shape[1] != EMBED_DIM:
             raise ConfigurationError(f"embedding table must be (K, {EMBED_DIM}), got {vectors.shape}")
+        if not np.all(np.isfinite(vectors)):
+            raise ConfigurationError("embedding table contains non-finite values")
         if np.any(np.all(vectors == 0.0, axis=1)):
             raise ConfigurationError("embedding table contains an all-zero vector")
         self.vectors = vectors
@@ -274,14 +276,22 @@ class EmbeddingTable:
             doc = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise FormatError(f"{path}: embedding table root must be an object")
         n = num_classes if num_classes is not None else len(doc)
         vectors = np.zeros((n, EMBED_DIM))
         seen = set()
         for key, row in doc.items():
-            i = int(key)
+            try:
+                i = int(key)
+                vec = np.asarray(row, dtype=np.float64)
+            except (TypeError, ValueError) as exc:
+                raise FormatError(f"{path}: bad embedding entry {key!r}: {exc}") from exc
+            if vec.shape != (EMBED_DIM,) or not np.all(np.isfinite(vec)):
+                raise FormatError(f"{path}: embedding {key!r} is not {EMBED_DIM} finite numbers")
             if not (0 <= i < n):
                 raise ConfigurationError(f"embedding class id {i} outside 0..{n - 1}")
-            vectors[i] = np.asarray(row, dtype=np.float64)
+            vectors[i] = vec
             seen.add(i)
         if len(seen) != n:
             missing = sorted(set(range(n)) - seen)

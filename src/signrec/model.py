@@ -27,6 +27,7 @@ arguments and returns fresh arrays.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -108,21 +109,7 @@ class LateFusionConfig:
         }
 
     def to_json(self) -> dict:
-        return {
-            "arch": "late",
-            "num_classes": self.num_classes,
-            "d_a": self.d_a,
-            "d_b": self.d_b,
-            "d_c": self.d_c,
-            "ffn_a": self.ffn_a,
-            "ffn_b": self.ffn_b,
-            "ffn_c": self.ffn_c,
-            "ffn_fused": self.ffn_fused,
-            "heads": self.heads,
-            "blocks": self.blocks,
-            "dropout_rate": self.dropout_rate,
-            "embed_dim": self.embed_dim,
-        }
+        return {"arch": self.arch, **dataclasses.asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -148,32 +135,23 @@ class EarlyFusionConfig:
         return EncoderConfig(self.d_model, self.ffn_width, self.heads, self.blocks, self.dropout_rate)
 
     def to_json(self) -> dict:
-        return {
-            "arch": "early",
-            "num_classes": self.num_classes,
-            "d_model": self.d_model,
-            "ffn_width": self.ffn_width,
-            "heads": self.heads,
-            "blocks": self.blocks,
-            "dropout_rate": self.dropout_rate,
-            "embed_dim": self.embed_dim,
-        }
+        return {"arch": self.arch, **dataclasses.asdict(self)}
 
 
 ModelConfig = Union[LateFusionConfig, EarlyFusionConfig]
+_ARCH_CONFIGS = {"late": LateFusionConfig, "early": EarlyFusionConfig}
 
 
 def config_from_json(doc: dict) -> ModelConfig:
     doc = dict(doc)
     arch = doc.pop("arch", None)
+    cls = _ARCH_CONFIGS.get(arch) if isinstance(arch, str) else None
+    if cls is None:
+        raise FormatError(f"unknown architecture tag {arch!r}")
     try:
-        if arch == "late":
-            return LateFusionConfig(**doc)
-        if arch == "early":
-            return EarlyFusionConfig(**doc)
+        return cls(**doc)
     except TypeError as exc:
         raise FormatError(f"bad model config: {exc}") from exc
-    raise FormatError(f"unknown architecture tag {arch!r}")
 
 
 @dataclass

@@ -8,6 +8,7 @@ fixed seed so the selection metric is reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 import time
@@ -20,8 +21,7 @@ from .errors import ConfigurationError, TrainingDivergenceError
 from .featurestore import Dataset, FeatureSequence
 from .metrics import confusion_matrix, topk_accuracy
 from .model import (
-    EarlyFusionConfig,
-    LateFusionConfig,
+    _ARCH_CONFIGS,
     ModelConfig,
     init_params,
     label_smooth,
@@ -181,85 +181,39 @@ def evaluate(
 
 
 def _default_model_config(arch: str, num_classes: int) -> ModelConfig:
-    if arch == "late":
-        return LateFusionConfig(num_classes=num_classes)
-    if arch == "early":
-        return EarlyFusionConfig(num_classes=num_classes)
-    raise ConfigurationError(f"unknown architecture {arch!r} (expected 'early' or 'late')")
+    if arch not in _ARCH_CONFIGS:
+        raise ConfigurationError(f"unknown architecture {arch!r} (expected 'early' or 'late')")
+    return _ARCH_CONFIGS[arch](num_classes=num_classes)
 
 
-def _val_topk(params, records, T, batch_size, toggles):
-    labels = np.asarray([r.label_id for r in records])
-    probs = split_probabilities(params, records, T, batch_size, toggles)
-    return topk_accuracy(probs, labels, 1), topk_accuracy(probs, labels, 5)
-
-
-def train_model(
-    dataset: Dataset,
-    arch: str,
-    config: TrainConfig,
-    model_config: Optional[ModelConfig] = None,
-    log_path=None,
-    verbose: bool = False,
+def _fit_epochs(
+    params, n, batch_loss, val_probs, val_labels, config, shuffle_rng, log_path=None, verbose=False
 ) -> Checkpoint:
-    """Mini-batch Adamax training; returns the best-validation checkpoint.
+    """Adamax on batch_loss(params, chunk) -> (loss, grads) over shuffled chunks of range(n).
 
-    The combined loss is loss_weights[0] * label-smoothed cross-entropy plus
-    loss_weights[1] * negative cosine similarity to the class word vector.
-    The checkpoint with the highest validation Top-1 wins, earliest epoch on
-    ties. An optional JSON-lines log receives one record per epoch.
+    Each epoch scores val_probs(params) against val_labels and appends one
+    JSON line to the optional log. Returns the checkpoint with the best
+    validation Top-1, earliest epoch on ties.
     """
-    train_recs = dataset.split("train")
-    val_recs = dataset.split("val")
-    if not train_recs or not val_recs:
-        raise ConfigurationError("training needs nonempty train and val splits")
-    k = dataset.num_classes
-    if len(dataset.embeddings) < k:
-        raise ConfigurationError("embedding table does not cover all classes")
-    if model_config is None:
-        model_config = _default_model_config(arch, k)
-    elif model_config.arch != arch:
-        raise ConfigurationError(f"model config is {model_config.arch!r}, requested {arch!r}")
-
-    seeds = np.random.SeedSequence(config.seed).spawn(4)
-    init_rng, shuffle_rng, augment_rng, dropout_rng = (np.random.default_rng(s) for s in seeds)
-    params = init_params(model_config, init_rng)
     state = AdamaxState.zeros(params.tensors)
-
-    labels = np.asarray([r.label_id for r in train_recs])
-    eye = np.eye(k)
-    emb = dataset.embeddings.vectors
-    T = config.sequence_length
-    cw, ew = config.loss_weights
-
     best: Optional[Checkpoint] = None
-    log_fh = open(log_path, "w") if log_path is not None else None
-    try:
-        step = 0
+    step = 0
+    with open(log_path, "w") if log_path is not None else contextlib.nullcontext() as log_fh:
         for epoch in range(1, config.epochs + 1):
-            order = shuffle_rng.permutation(len(train_recs))
+            order = shuffle_rng.permutation(n)
             losses = []
-            for i in range(0, len(order), config.batch_size):
-                chunk = order[i : i + config.batch_size]
-                sbs = [assemble_streams(train_recs[j], T, augment_rng) for j in chunk]
-                a, b, c, m = stack_batches(sbs)
-                targets = label_smooth(eye[labels[chunk]], config.label_smoothing)
-                loss, grads, _ = loss_and_grads(
-                    params, a, b, c, m, targets, emb[labels[chunk]],
-                    class_weight=cw, embed_weight=ew,
-                    train=True, rng=dropout_rng, toggles=config.stream_toggles,
-                )
+            for i in range(0, n, config.batch_size):
+                loss, grads = batch_loss(params, order[i : i + config.batch_size])
                 if not np.isfinite(loss):
                     raise TrainingDivergenceError(f"non-finite loss at epoch {epoch}")
                 step += 1
                 params.tensors, state = adamax_step(
-                    params.tensors, grads, state, step,
-                    config.learning_rate, config.weight_decay,
+                    params.tensors, grads, state, step, config.learning_rate, config.weight_decay
                 )
                 losses.append(loss)
-            val_top1, val_top5 = _val_topk(
-                params, val_recs, T, config.batch_size, config.stream_toggles
-            )
+            probs = val_probs(params)
+            val_top1 = topk_accuracy(probs, val_labels, 1)
+            val_top5 = topk_accuracy(probs, val_labels, 5)
             entry = {
                 "epoch": epoch,
                 "train_loss": float(np.mean(losses)),
@@ -276,7 +230,60 @@ def train_model(
                 )
             if best is None or val_top1 > best.val_top1:
                 best = Checkpoint(params.copy(), epoch, val_top1, val_top5)
-    finally:
-        if log_fh is not None:
-            log_fh.close()
     return best
+
+
+def train_model(
+    dataset: Dataset,
+    arch: str,
+    config: TrainConfig,
+    model_config: Optional[ModelConfig] = None,
+    log_path=None,
+    verbose: bool = False,
+) -> Checkpoint:
+    """Mini-batch Adamax training; returns the best-validation checkpoint.
+
+    The combined loss is loss_weights[0] * label-smoothed cross-entropy plus
+    loss_weights[1] * negative cosine similarity to the class word vector.
+    Checkpoint selection and the per-epoch log are _fit_epochs'.
+    """
+    train_recs = dataset.split("train")
+    val_recs = dataset.split("val")
+    if not train_recs or not val_recs:
+        raise ConfigurationError("training needs nonempty train and val splits")
+    k = dataset.num_classes
+    if len(dataset.embeddings) < k:
+        raise ConfigurationError("embedding table does not cover all classes")
+    if model_config is None:
+        model_config = _default_model_config(arch, k)
+    elif model_config.arch != arch:
+        raise ConfigurationError(f"model config is {model_config.arch!r}, requested {arch!r}")
+
+    seeds = np.random.SeedSequence(config.seed).spawn(4)
+    init_rng, shuffle_rng, augment_rng, dropout_rng = (np.random.default_rng(s) for s in seeds)
+    params = init_params(model_config, init_rng)
+
+    labels = np.asarray([r.label_id for r in train_recs])
+    eye = np.eye(k)
+    emb = dataset.embeddings.vectors
+    T = config.sequence_length
+    cw, ew = config.loss_weights
+
+    def batch_loss(params, chunk):
+        sbs = [assemble_streams(train_recs[j], T, augment_rng) for j in chunk]
+        a, b, c, m = stack_batches(sbs)
+        targets = label_smooth(eye[labels[chunk]], config.label_smoothing)
+        return loss_and_grads(
+            params, a, b, c, m, targets, emb[labels[chunk]],
+            class_weight=cw, embed_weight=ew,
+            train=True, rng=dropout_rng, toggles=config.stream_toggles,
+        )[:2]
+
+    def val_probs(params):
+        return split_probabilities(params, val_recs, T, config.batch_size, config.stream_toggles)
+
+    val_labels = np.asarray([r.label_id for r in val_recs])
+    return _fit_epochs(
+        params, len(train_recs), batch_loss, val_probs, val_labels, config, shuffle_rng,
+        log_path, verbose,
+    )

@@ -303,6 +303,16 @@ def _no_frames(data):
     path.write_bytes(bytes(header))
 
 
+def _embeddings(edit):
+    """Edit that rewrites a dataset's embeddings.json as edit(doc)."""
+
+    def apply(data):
+        path = data / "embeddings.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+
+    return apply
+
+
 def _tensor(header, name):
     return next(t for t in header["tensors"] if t["name"] == name)
 
@@ -318,6 +328,11 @@ def _tensor(header, name):
         ("data", _manifest_record(split="dev"), FormatError),
         ("data", _signer_in_two_splits, FormatError),
         ("data", _no_frames, CorruptRecordError),
+        ("data", _embeddings(lambda d: list(d.values())), FormatError),
+        ("data", _embeddings(lambda d: {**d, "x": d["0"]}), FormatError),
+        ("data", _embeddings(lambda d: {**d, "0": d["0"][:10]}), FormatError),
+        ("data", _embeddings(lambda d: {**d, "0": "abc"}), FormatError),
+        ("data", _embeddings(lambda d: {**d, "0": [float("nan")] * len(d["0"])}), FormatError),
         ("late.ckpt", lambda h: h["tensors"].remove(_tensor(h, "a.proj.W")), FormatError),
         ("late.ckpt", lambda h: _tensor(h, "head.cls.b").update(shape=[3]), FormatError),
         ("ens.ckpt", lambda h: h["config"].update(chromosome=[1, 9] + [0] * 7), FormatError),
@@ -325,6 +340,8 @@ def _tensor(header, name):
     ids=[
         "center-outside", "nan-feature", "inf-center", "label-not-int",
         "label-outside-classes", "unknown-split", "signer-in-two-splits", "no-frames",
+        "embeddings-list-root", "embeddings-key-not-int", "embeddings-short-row",
+        "embeddings-string-row", "embeddings-nan-row",
         "missing-tensor", "short-tensor", "head-width",
     ],
 )
@@ -381,6 +398,30 @@ def test_bad_chromosome_exits_1(pipeline, tmp_path, text):
         "--out", tmp_path / "e.ckpt",
     )
     assert rc == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[1, 8, 0, 0, 0, 0, 0, 0, 0]",
+        '{"widths": [8]}',
+        "{",
+        '{"chromosome": [1, "a", 0, 0, 0, 0, 0, 0, 0]}',
+    ],
+    ids=["list-root", "no-chromosome-key", "invalid-json", "non-integer-gene"],
+)
+def test_malformed_chromosome_file_exits_2(pipeline, tmp_path, capsys, text):
+    root = pipeline["root"]
+    best = tmp_path / "best.json"
+    best.write_text(text)
+    rc = run(
+        "ensemble", "--data", pipeline["manifest"], "--early", root / "early.ckpt",
+        "--late", root / "late.ckpt", "--chromosome-file", best,
+        "--out", tmp_path / "e.ckpt",
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "malformed chromosome file" in err and "Traceback" not in err
 
 
 def test_ensemble_requires_a_chromosome(pipeline, tmp_path, capsys):

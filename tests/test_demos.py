@@ -1,6 +1,6 @@
 """The demos that finish in seconds run as scripts against the current API.
 
-Demos 03-05 train models and are run by hand.
+Demo 05 trains its models for a couple of minutes and is run by hand.
 """
 
 import os
@@ -18,6 +18,8 @@ ROOT = Path(__file__).resolve().parents[1]
     [
         ("01_dataset_and_format.py", "round-trip identical: True"),
         ("02_streams_and_geometry.py", "deterministic under a seed: True"),
+        ("03_training.py", "kept epoch"),
+        ("04_genetic_search.py", "elitism keeps best fitness non-decreasing: True"),
     ],
 )
 def test_demo_runs(demo, expected):

@@ -1,5 +1,6 @@
 """Chromosome algebra, GA operators, and the frozen-base ensemble head."""
 
+import json
 import math
 
 import numpy as np
@@ -320,6 +321,21 @@ def test_train_ensemble_single_epoch_and_determinism(tiny_dataset):
     ck2 = train_ensemble(early, late, chrom(1, 6), tiny_dataset, head_config(epochs=1))
     for name in ck1.params.tensors:
         npt.assert_array_equal(ck1.params.tensors[name], ck2.params.tensors[name])
+
+
+def test_train_ensemble_log_agrees_with_checkpoint(tmp_path, tiny_dataset):
+    early, late = tiny_bases(tiny_dataset)
+    log = tmp_path / "head.jsonl"
+    ck = train_ensemble(
+        early, late, chrom(2, 12, 8), tiny_dataset, head_config(epochs=4), log_path=log
+    )
+    rows = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [r["epoch"] for r in rows] == [1, 2, 3, 4]
+    assert all(set(r) == {"epoch", "train_loss", "val_top1", "val_top5"} for r in rows)
+    tops = [r["val_top1"] for r in rows]
+    assert ck.epoch == tops.index(max(tops)) + 1  # earliest epoch wins ties
+    kept = rows[ck.epoch - 1]
+    assert (ck.val_top1, ck.val_top5) == (kept["val_top1"], kept["val_top5"])
 
 
 def test_train_ensemble_class_count_mismatch(tiny_dataset):

@@ -284,6 +284,8 @@ def test_embedding_table_roundtrip(tmp_path):
     with pytest.raises(ConfigurationError):
         EmbeddingTable(rng.standard_normal((2, 10)))
     with pytest.raises(ConfigurationError):
+        EmbeddingTable(np.full((2, EMBED_DIM), np.nan))
+    with pytest.raises(ConfigurationError):
         EmbeddingTable.load(path, 5)  # classes 3,4 missing
     path.write_text("[")
     with pytest.raises(FormatError):

@@ -13,6 +13,7 @@ from signrec.train import (
     AdamaxState,
     Checkpoint,
     TrainConfig,
+    _fit_epochs,
     adamax_step,
     evaluate,
     split_probabilities,
@@ -157,6 +158,68 @@ def test_train_model_log_and_checkpoint_selection(tmp_path, tiny_dataset):
     # checkpoint metrics agree with a fresh evaluation of the stored params
     top1, top5, _, _ = evaluate(ck.params, tiny_dataset.split("val"), T=TINY_T)
     assert top1 == ck.val_top1 and top5 == ck.val_top5
+
+
+class ScriptedParams:
+    """Stand-in for a model in _fit_epochs: named tensors and a copy()."""
+
+    def __init__(self, tensors):
+        self.tensors = tensors
+
+    def copy(self):
+        return ScriptedParams({k: v.copy() for k, v in self.tensors.items()})
+
+
+def test_fit_epochs_selection_and_log(tmp_path, capsys):
+    labels = np.array([0, 1])
+    right, half = np.eye(6)[[0, 1]], np.eye(6)[[0, 0]]
+    script = iter([half, right, right, half])  # val Top-1 0.5, 1.0, 1.0, 0.5
+    chunks, seen = [], []
+
+    def batch_loss(params, chunk):
+        chunks.append(chunk)
+        return float(len(chunks)), {"w": np.ones(1)}
+
+    def val_probs(params):
+        seen.append(params.tensors["w"].copy())
+        return next(script)
+
+    params = ScriptedParams({"w": np.zeros(1)})
+    log = tmp_path / "log.jsonl"
+    ck = _fit_epochs(
+        params, 5, batch_loss, val_probs, labels, small_config(epochs=4, batch_size=2),
+        np.random.default_rng(0), log_path=log, verbose=True,
+    )
+    # every epoch covers range(5) in batches of 2, 2 and 1
+    assert [len(c) for c in chunks] == [2, 2, 1] * 4
+    for e in range(4):
+        assert sorted(np.concatenate(chunks[3 * e : 3 * e + 3])) == [0, 1, 2, 3, 4]
+    rows = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [set(r) for r in rows] == [{"epoch", "train_loss", "val_top1", "val_top5"}] * 4
+    assert [r["epoch"] for r in rows] == [1, 2, 3, 4]
+    assert [r["train_loss"] for r in rows] == [2.0, 5.0, 8.0, 11.0]
+    assert [r["val_top1"] for r in rows] == [0.5, 1.0, 1.0, 0.5]
+    assert [r["val_top5"] for r in rows] == [1.0] * 4
+    # the tie between epochs 2 and 3 keeps epoch 2, as a snapshot of its weights
+    assert (ck.epoch, ck.val_top1, ck.val_top5) == (2, 1.0, 1.0)
+    npt.assert_array_equal(ck.params.tensors["w"], seen[1])
+    assert not np.array_equal(params.tensors["w"], seen[1])
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 4 and all(line.startswith("epoch") for line in err)
+
+
+def test_fit_epochs_non_finite_loss_diverges(tmp_path):
+    losses = iter([1.0, 2.0, float("nan")])
+    log = tmp_path / "log.jsonl"
+    with pytest.raises(TrainingDivergenceError, match="non-finite loss at epoch 2"):
+        _fit_epochs(
+            ScriptedParams({"w": np.zeros(1)}), 3,
+            lambda params, chunk: (next(losses), {"w": np.ones(1)}),
+            lambda params: np.eye(6)[[0, 1]], np.array([0, 1]),
+            small_config(epochs=3, batch_size=2), np.random.default_rng(0), log_path=log,
+        )
+    # the log is closed with the finished epoch in it
+    assert [json.loads(line)["epoch"] for line in log.read_text().splitlines()] == [1]
 
 
 def test_train_model_argument_errors(tiny_dataset):
