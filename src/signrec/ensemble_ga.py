@@ -41,12 +41,19 @@ ENSEMBLE_LR = 0.0015
 ENSEMBLE_WD = 0.0004
 
 
+def _gene(g) -> int:
+    """int(g), but a ValueError (as int("a") raises) for a number that is not integral."""
+    if isinstance(g, (float, np.floating)) and not float(g).is_integer():
+        raise ValueError(f"gene {g!r} is not an integer")
+    return int(g)
+
+
 @dataclass(frozen=True)
 class Chromosome:
     genes: tuple[int, ...]
 
     def __post_init__(self):
-        genes = tuple(int(g) for g in self.genes)
+        genes = tuple(_gene(g) for g in self.genes)
         object.__setattr__(self, "genes", genes)
         if len(genes) != GENE_COUNT:
             raise InvalidChromosomeError(f"need {GENE_COUNT} genes, got {len(genes)}")
@@ -302,9 +309,13 @@ def _head_backward(params: EnsembleParams, probs, last_h, cache, dprobs):
 def ensemble_forward(
     class_probs_early: np.ndarray, class_probs_late: np.ndarray, params: EnsembleParams
 ) -> np.ndarray:
-    """Fused class distribution from the two base distributions."""
-    pe = np.asarray(class_probs_early, dtype=np.float64)
-    pl = np.asarray(class_probs_late, dtype=np.float64)
+    """Fused class distribution from the two base distributions.
+
+    Runs in the dtype the inputs and head tensors promote to, as
+    EnsembleClassifier.probs does.
+    """
+    pe = np.asarray(class_probs_early)
+    pl = np.asarray(class_probs_late)
     if pe.shape != (params.num_classes,) or pl.shape != (params.num_classes,):
         raise ConfigurationError(
             f"expected two {params.num_classes}-class distributions, got {pe.shape} and {pl.shape}"

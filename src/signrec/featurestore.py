@@ -287,15 +287,17 @@ class EmbeddingTable:
                 vec = np.asarray(row, dtype=np.float64)
             except (TypeError, ValueError) as exc:
                 raise FormatError(f"{path}: bad embedding entry {key!r}: {exc}") from exc
-            if vec.shape != (EMBED_DIM,) or not np.all(np.isfinite(vec)):
-                raise FormatError(f"{path}: embedding {key!r} is not {EMBED_DIM} finite numbers")
+            if vec.shape != (EMBED_DIM,) or not np.all(np.isfinite(vec)) or not vec.any():
+                raise FormatError(
+                    f"{path}: embedding {key!r} is not {EMBED_DIM} finite numbers, not all zero"
+                )
             if not (0 <= i < n):
-                raise ConfigurationError(f"embedding class id {i} outside 0..{n - 1}")
+                raise FormatError(f"{path}: embedding class id {i} outside 0..{n - 1}")
             vectors[i] = vec
             seen.add(i)
         if len(seen) != n:
             missing = sorted(set(range(n)) - seen)
-            raise ConfigurationError(f"embedding table missing classes {missing}")
+            raise FormatError(f"{path}: embedding table missing classes {missing}")
         return EmbeddingTable(vectors)
 
 

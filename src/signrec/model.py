@@ -1,11 +1,12 @@
 """Transformer encoders for early- and late-fusion sign-word classification.
 
-Everything is plain numpy. Activations take the dtype of the parameters and
-streams: float64 for training and the gradient checks, float32 when both are
-float32. forward_batch runs either architecture over (N,T,dim) stream
-arrays; loss_and_grads adds the combined loss and the full analytic backward
-pass used by the training loop. Gradients are written by hand and validated
-against central finite differences in the test suite.
+Everything is plain numpy. Activations take the dtype of the parameters, and
+the streams are cast to it on entry: init_params gives float64, so training
+and the gradient checks run in float64, and load_checkpoint gives float32, so
+loaded models serve in float32. forward_batch runs either architecture over
+(N,T,dim) stream arrays; loss_and_grads adds the combined loss and the full
+analytic backward pass used by the training loop. Gradients are written by
+hand and validated against central finite differences in the test suite.
 
 Architecture, shared by both fusion variants:
   project input -> add sinusoidal positions -> N encoder blocks -> additive
@@ -494,13 +495,14 @@ def forward_batch(
     before projection (ablations).
 
     Inference (train and need_cache both false) runs over blocks of
-    max(1, 128 // T) consecutive rows and concatenates the outputs. Rows are
-    independent, so the result is the same up to summation order; the blocks
-    keep each pass's temporaries small enough that the allocator reuses them
-    instead of returning them to the kernel and faulting them in again on the
-    next call (on a 2-vCPU machine at T=40, a row cost about 30% more in one
-    pass of 32 rows than in blocks of 3). Training and cached passes run the
-    whole batch at once.
+    max(1, 128 // T) consecutive rows and concatenates the outputs. Every
+    matmul runs one row at a time, so a row's outputs are the same bit for bit
+    whatever batch or block it shares. The blocks keep each pass's
+    temporaries small enough that the allocator reuses them instead of
+    returning them to the kernel and faulting them in again on the next call
+    (on a 2-vCPU machine at T=40, a row cost about 30% more in one pass of 32
+    rows than in blocks of 3). Training and cached passes run the whole batch
+    at once.
     """
     _check_streams(params, A, B, C, mask)
     if train and params.config.dropout_rate > 0.0 and rng is None:
@@ -526,6 +528,8 @@ def _forward(params, A, B, C, mask, train=False, rng=None, need_cache=False):
     """forward_batch's pass over the whole batch, with no checks or toggles."""
     cfg = params.config
     w = params.tensors
+    dt = w["head.cls.W"].dtype
+    A, B, C = (x.astype(dt, copy=False) for x in (A, B, C))
     T = A.shape[1]
     cache: dict = {"A": A, "B": B, "C": C, "mask": mask}
 
@@ -548,11 +552,13 @@ def _forward(params, A, B, C, mask, train=False, rng=None, need_cache=False):
 
     nreal = mask.sum(1).astype(enc_out.dtype)
     pooled = enc_out.sum(1) / nreal[:, None]  # masked rows are exactly zero
-    logits = pooled @ w["head.cls.W"] + w["head.cls.b"]
+    # The heads run one row at a time: a 2-D pooled @ W is one GEMM whose
+    # per-row sums depend on how many rows share it.
+    logits = (pooled[:, None, :] @ w["head.cls.W"])[:, 0] + w["head.cls.b"]
     shifted = logits - logits.max(-1, keepdims=True)
     e = np.exp(shifted)
     probs = e / e.sum(-1, keepdims=True)
-    emb = pooled @ w["head.emb.W"] + w["head.emb.b"]
+    emb = (pooled[:, None, :] @ w["head.emb.W"])[:, 0] + w["head.emb.b"]
     if need_cache:
         cache.update(pooled=pooled, probs=probs, nreal=nreal)
         return probs, emb, cache
@@ -711,7 +717,11 @@ def _tensor_entry(path, entry) -> tuple[str, tuple[int, ...], int]:
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict]:
-    """Inverse of save_checkpoint; tensors come back as float64."""
+    """Inverse of save_checkpoint.
+
+    Tensors come back as read-only float32 views of the file's bytes, so a
+    loaded model serves in float32; ModelParams.copy gives writable ones.
+    """
     buf = Path(path).read_bytes()
     if len(buf) < 4:
         raise FormatError(f"{path}: truncated checkpoint")
@@ -736,7 +746,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict]:
         if start + 4 * count > payload_len:
             raise FormatError(f"{path}: tensor {name} extends past end of file")
         arr = np.frombuffer(buf, dtype="<f4", count=count, offset=4 + hlen + start)
-        tensors[name] = arr.reshape(shape).astype(np.float64)
+        tensors[name] = arr.reshape(shape)
     return header["config"], tensors, header.get("meta", {})
 
 

@@ -333,16 +333,21 @@ def _tensor(header, name):
         ("data", _embeddings(lambda d: {**d, "0": d["0"][:10]}), FormatError),
         ("data", _embeddings(lambda d: {**d, "0": "abc"}), FormatError),
         ("data", _embeddings(lambda d: {**d, "0": [float("nan")] * len(d["0"])}), FormatError),
+        ("data", _embeddings(lambda d: {**d, "0": [0.0] * len(d["0"])}), FormatError),
+        ("data", _embeddings(lambda d: {**d, "99": d["0"]}), FormatError),
+        ("data", _embeddings(lambda d: {k: v for k, v in d.items() if k != "0"}), FormatError),
         ("late.ckpt", lambda h: h["tensors"].remove(_tensor(h, "a.proj.W")), FormatError),
         ("late.ckpt", lambda h: _tensor(h, "head.cls.b").update(shape=[3]), FormatError),
         ("ens.ckpt", lambda h: h["config"].update(chromosome=[1, 9] + [0] * 7), FormatError),
+        ("ens.ckpt", lambda h: h["config"].update(chromosome=[1, 8.7] + [0] * 7), FormatError),
     ],
     ids=[
         "center-outside", "nan-feature", "inf-center", "label-not-int",
         "label-outside-classes", "unknown-split", "signer-in-two-splits", "no-frames",
         "embeddings-list-root", "embeddings-key-not-int", "embeddings-short-row",
-        "embeddings-string-row", "embeddings-nan-row",
-        "missing-tensor", "short-tensor", "head-width",
+        "embeddings-string-row", "embeddings-nan-row", "embeddings-zero-row",
+        "embeddings-class-outside", "embeddings-missing-class",
+        "missing-tensor", "short-tensor", "head-width", "fractional-gene",
     ],
 )
 def test_malformed_input_exits_2(pipeline, tmp_path, source, edit, error):
@@ -407,8 +412,9 @@ def test_bad_chromosome_exits_1(pipeline, tmp_path, text):
         '{"widths": [8]}',
         "{",
         '{"chromosome": [1, "a", 0, 0, 0, 0, 0, 0, 0]}',
+        '{"chromosome": [1, 8.7, 0, 0, 0, 0, 0, 0, 0]}',
     ],
-    ids=["list-root", "no-chromosome-key", "invalid-json", "non-integer-gene"],
+    ids=["list-root", "no-chromosome-key", "invalid-json", "non-integer-gene", "fractional-gene"],
 )
 def test_malformed_chromosome_file_exits_2(pipeline, tmp_path, capsys, text):
     root = pipeline["root"]

@@ -31,8 +31,8 @@ from signrec.ensemble_ga import (
     uniform_crossover,
 )
 from signrec.model import LateFusionConfig, EarlyFusionConfig, init_params
-from signrec.preprocess import StreamBatch
-from signrec.train import evaluate
+from signrec.preprocess import StreamBatch, assemble_streams
+from signrec.train import EVAL_SEED, evaluate, split_probabilities
 from conftest import TINY_T, random_stream_batch
 
 
@@ -65,6 +65,9 @@ def test_chromosome_validation():
         chrom(2, 5, 0)  # zero width inside the active range
     with pytest.raises(InvalidChromosomeError):
         Chromosome((1, 5, 0, 0))
+    with pytest.raises(ValueError):
+        chrom(1, 8.7)  # not truncated to 8
+    assert chrom(1, 8.0).genes == chrom(1, 8).genes
 
 
 def test_fitness_examples():
@@ -366,6 +369,27 @@ def test_ensemble_classifier_and_checkpoint_roundtrip(tmp_path, tiny_dataset):
     sb = StreamBatch(a[0], b[0], c[0], mask[0])
     # f32 checkpoint quantization shifts probabilities a hair
     npt.assert_allclose(back(sb), clf(sb), atol=1e-5)
+
+
+def test_loaded_ensemble_serves_float32_and_matches_offline_scoring(tmp_path, tiny_dataset):
+    early, late = tiny_bases(tiny_dataset)
+    head = init_ensemble_params(chrom(2, 12, 8), 4, np.random.default_rng(26))
+    path = tmp_path / "ens.ckpt"
+    save_ensemble(path, EnsembleClassifier(early, late, head))
+    clf, _ = load_ensemble(path)
+    for part in (clf.early, clf.late, clf.head):
+        assert all(t.dtype == np.float32 for t in part.tensors.values())
+
+    # online: one record per call; offline: batches of 32 per base model, then
+    # the head row by row. Both thread the evaluation rng over the same records.
+    records = tiny_dataset.sequences
+    rng = np.random.default_rng(EVAL_SEED)
+    online = np.stack([clf(assemble_streams(r, TINY_T, rng)) for r in records])
+    pe = split_probabilities(clf.early, records, TINY_T, batch_size=32)
+    pl = split_probabilities(clf.late, records, TINY_T, batch_size=32)
+    offline = np.stack([ensemble_forward(e, l, clf.head) for e, l in zip(pe, pl)])
+    assert online.dtype == offline.dtype == np.float32
+    assert online.tobytes() == offline.tobytes()
 
 
 def test_load_ensemble_rejects_single_model(tmp_path, tiny_dataset):

@@ -285,8 +285,10 @@ def test_embedding_table_roundtrip(tmp_path):
         EmbeddingTable(rng.standard_normal((2, 10)))
     with pytest.raises(ConfigurationError):
         EmbeddingTable(np.full((2, EMBED_DIM), np.nan))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(FormatError):
         EmbeddingTable.load(path, 5)  # classes 3,4 missing
+    with pytest.raises(FormatError):
+        EmbeddingTable.load(path, 2)  # class 2 outside 0..1
     path.write_text("[")
     with pytest.raises(FormatError):
         EmbeddingTable.load(path, 3)

@@ -252,20 +252,24 @@ def test_forward_masking_invariance(tiny_late_config, tiny_early_config):
 
 
 def test_inference_blocks_match_row_by_row(tiny_late_config, tiny_early_config):
-    # at T=40 inference runs in blocks of 3 rows, so 7 rows span three blocks
+    # at T=40 inference runs in blocks of 3 rows, so 7 rows span three blocks;
+    # a row gives the same bits alone, in a block and in the whole batch. The
+    # full-size heads are wide enough for a shared GEMM to change float32 sums.
     rng = np.random.default_rng(12)
-    a, b, c, mask = random_stream_batch(rng, n=7, T=40, pad=0)
-    for i, real in enumerate((40, 25, 40, 1, 33, 40, 12)):
-        mask[i, real:] = False
-        a[i, real:] = b[i, real:] = c[i, real:] = 0.0
-    for cfg in (tiny_late_config, tiny_early_config):
-        params = init_params(cfg, np.random.default_rng(7))
-        probs, emb, _ = forward_batch(params, a, b, c, mask)
-        for i in range(len(mask)):
-            row = slice(i, i + 1)
-            p_i, e_i, _ = forward_batch(params, a[row], b[row], c[row], mask[row])
-            assert np.abs(probs[i] - p_i[0]).max() <= 1e-12
-            assert np.abs(emb[i] - e_i[0]).max() <= 1e-12
+    streams = padded_batch(rng, (40, 25, 40, 1, 33, 40, 12), T=40)
+    mask = streams[3]
+    full = (LateFusionConfig(num_classes=5), EarlyFusionConfig(num_classes=5))
+    for dtype in (np.float64, np.float32):
+        a, b, c = (x.astype(dtype) for x in streams[:3])
+        for cfg in (tiny_late_config, tiny_early_config, *full):
+            params = init_params(cfg, np.random.default_rng(7))
+            params = ModelParams(cfg, {k: v.astype(dtype) for k, v in params.tensors.items()})
+            probs, emb, _ = forward_batch(params, a, b, c, mask)
+            assert probs.dtype == emb.dtype == dtype
+            for i in range(len(mask)):
+                row = slice(i, i + 1)
+                p_i, e_i, _ = forward_batch(params, a[row], b[row], c[row], mask[row])
+                assert_same_bits((probs[row], emb[row]), (p_i, e_i))
 
 
 def test_forward_train_dropout(tiny_late_config):
@@ -469,10 +473,10 @@ def ref_forward(params, A, B, C, mask, train=False, rng=None):
         enc_out, cache["enc.f"] = ref_encoder_forward(z, mask, w, "f", cfg.encoder(), rng, train)
     nreal = mask.sum(1).astype(np.float64)
     pooled = enc_out.sum(1) / nreal[:, None]
-    logits = pooled @ w["head.cls.W"] + w["head.cls.b"]
+    logits = (pooled[:, None, :] @ w["head.cls.W"])[:, 0] + w["head.cls.b"]
     e = np.exp(logits - logits.max(-1, keepdims=True))
     probs = e / e.sum(-1, keepdims=True)
-    emb = pooled @ w["head.emb.W"] + w["head.emb.b"]
+    emb = (pooled[:, None, :] @ w["head.emb.W"])[:, 0] + w["head.emb.b"]
     cache.update(pooled=pooled, probs=probs, nreal=nreal)
     return probs, emb, cache
 
@@ -613,16 +617,22 @@ def test_float32_params_and_streams_give_float32_outputs(tiny_late_config, tiny_
     rng = np.random.default_rng(23)
     a, b, c, mask = padded_batch(rng, (40, 12, 1, 33, 40, 7, 20), T=40)
     f32 = [x.astype(np.float32) for x in (a, b, c)]
+    f64 = [x.astype(np.float64) for x in f32]
     for cfg in (tiny_late_config, tiny_early_config):
         params = init_params(cfg, np.random.default_rng(8))
         params32 = ModelParams(cfg, {k: v.astype(np.float32) for k, v in params.tensors.items()})
+        params64 = ModelParams(cfg, {k: v.astype(np.float64) for k, v in params32.tensors.items()})
         # reference: the same float32 values, computed in float64
-        want_p, want_e, _ = forward_batch(params32, *(x.astype(np.float64) for x in f32), mask)
+        want_p, want_e, _ = forward_batch(params64, *f64, mask)
+        assert want_p.dtype == want_e.dtype == np.float64
         for n in (1, 7):  # one pass, and three inference blocks
             probs, emb, _ = forward_batch(params32, *(x[:n] for x in f32), mask[:n])
             assert probs.dtype == np.float32 and emb.dtype == np.float32
             npt.assert_allclose(probs, want_p[:n], atol=1e-5)
             npt.assert_allclose(emb, want_e[:n], rtol=1e-4, atol=1e-5)
+            # float64 streams are cast to the params' float32 on entry
+            p64in, e64in, _ = forward_batch(params32, *(x[:n] for x in f64), mask[:n])
+            assert_same_bits((p64in, e64in), (probs, emb))
 
 
 # ---------------------------------------------------------------------------
@@ -744,7 +754,9 @@ def test_checkpoint_roundtrip(tmp_path, tiny_late_config):
     assert loaded.config == params.config
     assert sorted(loaded.tensors) == sorted(params.tensors)
     for name, tensor in params.tensors.items():
-        # payloads are stored as f32
+        # payloads are stored as f32 and served as read-only f32 views
+        assert loaded.tensors[name].dtype == np.float32
+        assert not loaded.tensors[name].flags.writeable
         npt.assert_array_equal(loaded.tensors[name], tensor.astype(np.float32).astype(np.float64))
 
     # saving is deterministic
