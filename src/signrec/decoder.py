@@ -11,7 +11,6 @@ unrecoverable by design.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -133,9 +132,3 @@ def trace_to_json(trace: DecodeTrace) -> dict:
         ],
         "mean_confidence": trace.mean_confidence,
     }
-
-
-def save_trace(trace: DecodeTrace, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(trace_to_json(trace), fh, indent=1)
-        fh.write("\n")

@@ -26,6 +26,8 @@ HAND_DIM = 126
 ARM_DIM = 12
 LIP_DIM = 120
 EMBED_DIM = 300
+# Manifests record the fixed per-frame widths; a reader rejects any others.
+_FEATURE_DIMS = {"hand_shape": HAND_DIM, "arm_points": ARM_DIM, "lip_shape": LIP_DIM}
 
 SPLITS = ("train", "val", "test")
 
@@ -162,6 +164,8 @@ class RecordEntry:
     split: str
 
     def __post_init__(self):
+        if not isinstance(self.path, str):
+            raise ConfigurationError(f"record path {self.path!r} is not a string")
         if self.split not in SPLITS:
             raise ConfigurationError(f"unknown split tag {self.split!r}")
 
@@ -173,11 +177,12 @@ class DatasetManifest:
     classes: tuple[str, ...]
     records: tuple[RecordEntry, ...]
     embeddings_path: str = "embeddings.json"
-    feature_dims: tuple[int, int, int] = (HAND_DIM, ARM_DIM, LIP_DIM)
 
     def __post_init__(self):
         object.__setattr__(self, "classes", tuple(self.classes))
         object.__setattr__(self, "records", tuple(self.records))
+        if not isinstance(self.embeddings_path, str) or not all(isinstance(c, str) for c in self.classes):
+            raise ConfigurationError("class names and the embeddings path must be strings")
         for r in self.records:
             if not (0 <= r.label_id < len(self.classes)):
                 raise ConfigurationError(f"label {r.label_id} outside class table")
@@ -207,11 +212,7 @@ class DatasetManifest:
                 for r in self.records
             ],
             "embeddings": self.embeddings_path,
-            "feature_dims": {
-                "hand_shape": self.feature_dims[0],
-                "arm_points": self.feature_dims[1],
-                "lip_shape": self.feature_dims[2],
-            },
+            "feature_dims": dict(_FEATURE_DIMS),
         }
 
     @staticmethod
@@ -221,17 +222,10 @@ class DatasetManifest:
                 RecordEntry(r["path"], int(r["signer"]), int(r["label"]), r["split"])
                 for r in doc["records"]
             )
-            dims = doc.get("feature_dims", {})
-            return DatasetManifest(
-                tuple(doc["classes"]),
-                records,
-                doc.get("embeddings", "embeddings.json"),
-                (
-                    dims.get("hand_shape", HAND_DIM),
-                    dims.get("arm_points", ARM_DIM),
-                    dims.get("lip_shape", LIP_DIM),
-                ),
-            )
+            if doc.get("feature_dims", _FEATURE_DIMS) != _FEATURE_DIMS:
+                raise FormatError(f"malformed manifest: feature_dims must be {_FEATURE_DIMS}")
+            embeddings = doc.get("embeddings", "embeddings.json")
+            return DatasetManifest(tuple(doc["classes"]), records, embeddings)
         except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
             raise FormatError(f"malformed manifest: {exc}") from exc
 
@@ -501,4 +495,4 @@ def split_by_signer(
     records = tuple(
         RecordEntry(r.path, r.signer_id, r.label_id, tag(r.signer_id)) for r in manifest.records
     )
-    return DatasetManifest(manifest.classes, records, manifest.embeddings_path, manifest.feature_dims)
+    return DatasetManifest(manifest.classes, records, manifest.embeddings_path)

@@ -12,10 +12,13 @@ Architecture, shared by both fusion variants:
   project input -> add sinusoidal positions -> N encoder blocks -> additive
   skip from the projected input -> masked mean pool -> class head (softmax)
   and embedding head (linear, 300-d).
-Late fusion runs one encoder per stream (hand / lip / arm geometry), then a
-fused encoder over the per-frame concatenation of the three encoder outputs
-(no second projection or positional term). Early fusion concatenates the raw
-streams to a single 260-d vector and uses one encoder.
+A config's encoders() table gives the layout. Each named branch projects the
+concatenation of its streams and runs its own encoder; an optional fused
+encoder "f" then runs over the per-frame concatenation of the branch outputs
+(no second projection or positional term). Late fusion has branches a, b, c
+over the hand, lip and arm-geometry streams plus the fused encoder. Early
+fusion has one branch "f" over all three raw streams (260-d) and no fused
+encoder. Parameter names, init draw order and pass order follow the table.
 
 Buffer ownership: a pass works in place (out=, +=, *=) on temporaries it
 allocated itself, and never writes to its inputs, the parameters, the shared
@@ -42,6 +45,7 @@ import numpy as np
 from .errors import ConfigurationError, DegenerateInputError, FormatError
 from .preprocess import STREAM_A_DIM, STREAM_B_DIM, STREAM_C_DIM
 
+_STREAM_DIMS = (STREAM_A_DIM, STREAM_B_DIM, STREAM_C_DIM)
 _LN_EPS = 1e-5
 _MASK_BIAS = -1e30
 _PROB_FLOOR = 1e-12
@@ -64,7 +68,7 @@ class EncoderConfig:
     dropout_rate: float = 0.1
 
     def __post_init__(self):
-        if self.d_model % self.heads != 0:
+        if self.heads < 1 or self.d_model % self.heads != 0:
             raise ConfigurationError(f"d_model {self.d_model} not divisible by {self.heads} heads")
         if self.ffn_width < 1 or self.blocks < 1:
             raise ConfigurationError("ffn_width and blocks must be >= 1")
@@ -96,18 +100,14 @@ class LateFusionConfig:
             raise ConfigurationError("need at least 2 classes")
         self.encoders()  # constructing them runs the divisibility checks
 
-    @property
-    def d_fused(self) -> int:
-        return self.d_a + self.d_b + self.d_c
-
-    def encoders(self) -> dict[str, EncoderConfig]:
+    def encoders(self) -> EncoderTable:
         mk = lambda d, f: EncoderConfig(d, f, self.heads, self.blocks, self.dropout_rate)
-        return {
-            "a": mk(self.d_a, self.ffn_a),
-            "b": mk(self.d_b, self.ffn_b),
-            "c": mk(self.d_c, self.ffn_c),
-            "f": mk(self.d_fused, self.ffn_fused),
+        branches = {
+            "a": ((0,), mk(self.d_a, self.ffn_a)),
+            "b": ((1,), mk(self.d_b, self.ffn_b)),
+            "c": ((2,), mk(self.d_c, self.ffn_c)),
         }
+        return branches, mk(self.d_a + self.d_b + self.d_c, self.ffn_fused)
 
     def to_json(self) -> dict:
         return {"arch": self.arch, **dataclasses.asdict(self)}
@@ -130,16 +130,19 @@ class EarlyFusionConfig:
     def __post_init__(self):
         if self.num_classes < 2:
             raise ConfigurationError("need at least 2 classes")
-        self.encoder()
+        self.encoders()
 
-    def encoder(self) -> EncoderConfig:
-        return EncoderConfig(self.d_model, self.ffn_width, self.heads, self.blocks, self.dropout_rate)
+    def encoders(self) -> EncoderTable:
+        enc = EncoderConfig(self.d_model, self.ffn_width, self.heads, self.blocks, self.dropout_rate)
+        return {"f": ((0, 1, 2), enc)}, None
 
     def to_json(self) -> dict:
         return {"arch": self.arch, **dataclasses.asdict(self)}
 
 
 ModelConfig = Union[LateFusionConfig, EarlyFusionConfig]
+# encoders(): ({branch: (indices of the streams it projects, encoder)}, fused encoder or None)
+EncoderTable = tuple[dict[str, tuple[tuple[int, ...], EncoderConfig]], Optional[EncoderConfig]]
 _ARCH_CONFIGS = {"late": LateFusionConfig, "early": EarlyFusionConfig}
 
 
@@ -151,7 +154,7 @@ def config_from_json(doc: dict) -> ModelConfig:
         raise FormatError(f"unknown architecture tag {arch!r}")
     try:
         return cls(**doc)
-    except TypeError as exc:
+    except (TypeError, ConfigurationError) as exc:
         raise FormatError(f"bad model config: {exc}") from exc
 
 
@@ -197,23 +200,14 @@ def _block_shapes(prefix: str, enc: EncoderConfig, out: dict) -> None:
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter tensor, in init_params' draw order."""
     s: dict[str, tuple[int, ...]] = {}
-    if isinstance(config, LateFusionConfig):
-        encs = config.encoders()
-        for name, in_dim, d in (
-            ("a", STREAM_A_DIM, config.d_a),
-            ("b", STREAM_B_DIM, config.d_b),
-            ("c", STREAM_C_DIM, config.d_c),
-        ):
-            s[f"{name}.proj.W"] = (in_dim, d)
-            s[f"{name}.proj.b"] = (d,)
-            _block_shapes(name, encs[name], s)
-        _block_shapes("f", encs["f"], s)
-        pooled_dim = config.d_fused
-    else:
-        s["f.proj.W"] = (STREAM_A_DIM + STREAM_B_DIM + STREAM_C_DIM, config.d_model)
-        s["f.proj.b"] = (config.d_model,)
-        _block_shapes("f", config.encoder(), s)
-        pooled_dim = config.d_model
+    branches, fused = config.encoders()
+    for name, (idx, enc) in branches.items():
+        s[f"{name}.proj.W"] = (sum(_STREAM_DIMS[i] for i in idx), enc.d_model)
+        s[f"{name}.proj.b"] = (enc.d_model,)
+        _block_shapes(name, enc, s)
+    if fused is not None:
+        _block_shapes("f", fused, s)
+    pooled_dim = sum(enc.d_model for _, enc in branches.values())
     s["head.cls.W"] = (pooled_dim, config.num_classes)
     s["head.cls.b"] = (config.num_classes,)
     s["head.emb.W"] = (pooled_dim, config.embed_dim)
@@ -456,20 +450,10 @@ def _encoder_backward(dout, caches, mask, w, name, enc: EncoderConfig, grads):
 
 
 def _check_streams(params: ModelParams, A, B, C, mask):
-    cfg = params.config
-    if isinstance(cfg, LateFusionConfig):
-        pairs = (("a.proj.W", A), ("b.proj.W", B), ("c.proj.W", C))
-        for name, x in pairs:
-            if params.tensors[name].shape[0] != x.shape[-1]:
-                raise ConfigurationError(
-                    f"stream width {x.shape[-1]} does not match projection {name}"
-                )
-    else:
-        total = A.shape[-1] + B.shape[-1] + C.shape[-1]
-        if params.tensors["f.proj.W"].shape[0] != total:
-            raise ConfigurationError(
-                f"concatenated width {total} does not match early-fusion projection"
-            )
+    for name, (idx, _) in params.config.encoders()[0].items():
+        width = sum((A, B, C)[i].shape[-1] for i in idx)
+        if params.tensors[f"{name}.proj.W"].shape[0] != width:
+            raise ConfigurationError(f"stream width {width} does not match {name}.proj.W")
     if not (A.shape[:2] == B.shape[:2] == C.shape[:2] == mask.shape):
         raise ConfigurationError(f"mask shape {mask.shape} inconsistent with streams")
     if not mask.any(1).all():
@@ -507,10 +491,7 @@ def forward_batch(
     _check_streams(params, A, B, C, mask)
     if train and params.config.dropout_rate > 0.0 and rng is None:
         raise ConfigurationError("training-mode forward with dropout needs an rng")
-    if not all(toggles):
-        A = A if toggles[0] else np.zeros_like(A)
-        B = B if toggles[1] else np.zeros_like(B)
-        C = C if toggles[2] else np.zeros_like(C)
+    A, B, C = (x if on else np.zeros_like(x) for x, on in zip((A, B, C), toggles))
     n, T = A.shape[:2]
     rows = max(1, _BLOCK_CELLS // max(T, 1))
     if train or need_cache or n <= rows:
@@ -526,29 +507,24 @@ def forward_batch(
 
 def _forward(params, A, B, C, mask, train=False, rng=None, need_cache=False):
     """forward_batch's pass over the whole batch, with no checks or toggles."""
-    cfg = params.config
     w = params.tensors
     dt = w["head.cls.W"].dtype
-    A, B, C = (x.astype(dt, copy=False) for x in (A, B, C))
+    streams = [x.astype(dt, copy=False) for x in (A, B, C)]
     T = A.shape[1]
-    cache: dict = {"A": A, "B": B, "C": C, "mask": mask}
-
-    if isinstance(cfg, LateFusionConfig):
-        encs = cfg.encoders()
-        outs = []
-        for name, x, d in (("a", A, cfg.d_a), ("b", B, cfg.d_b), ("c", C, cfg.d_c)):
-            z = _affine(x, w[f"{name}.proj.W"], w[f"{name}.proj.b"])
-            z += positional_encoding(T, d)
-            out, cache[f"enc.{name}"] = _encoder_forward(z, mask, w, name, encs[name], rng, train)
-            outs.append(out)
+    cache: dict = {"mask": mask}
+    branches, fused = params.config.encoders()
+    outs = []
+    for name, (idx, enc) in branches.items():
+        x = streams[idx[0]] if len(idx) == 1 else np.concatenate([streams[i] for i in idx], -1)
+        cache[f"x.{name}"] = x
+        z = _affine(x, w[f"{name}.proj.W"], w[f"{name}.proj.b"])
+        z += positional_encoding(T, enc.d_model)
+        out, cache[f"enc.{name}"] = _encoder_forward(z, mask, w, name, enc, rng, train)
+        outs.append(out)
+    enc_out = outs[0]
+    if fused is not None:
         zf = np.concatenate(outs, axis=-1)
-        enc_out, cache["enc.f"] = _encoder_forward(zf, mask, w, "f", encs["f"], rng, train)
-    else:
-        x = np.concatenate([A, B, C], axis=-1)
-        cache["x"] = x
-        z = _affine(x, w["f.proj.W"], w["f.proj.b"])
-        z += positional_encoding(T, cfg.d_model)
-        enc_out, cache["enc.f"] = _encoder_forward(z, mask, w, "f", cfg.encoder(), rng, train)
+        enc_out, cache["enc.f"] = _encoder_forward(zf, mask, w, "f", fused, rng, train)
 
     nreal = mask.sum(1).astype(enc_out.dtype)
     pooled = enc_out.sum(1) / nreal[:, None]  # masked rows are exactly zero
@@ -568,7 +544,6 @@ def _forward(params, A, B, C, mask, train=False, rng=None, need_cache=False):
 def _backward_batch(params: ModelParams, cache, dprobs, demb):
     """Backward through forward_batch given dL/dprobs and dL/demb."""
     w = params.tensors
-    cfg = params.config
     grads: dict[str, np.ndarray] = {}
     probs, pooled, mask, nreal = cache["probs"], cache["pooled"], cache["mask"], cache["nreal"]
 
@@ -580,18 +555,16 @@ def _backward_batch(params: ModelParams, cache, dprobs, demb):
     dpooled = dlogits @ w["head.cls.W"].T + demb @ w["head.emb.W"].T
     denc_out = dpooled[:, None, :] * (mask[:, :, None] / nreal[:, None, None])
 
-    if isinstance(cfg, LateFusionConfig):
-        encs = cfg.encoders()
-        dzf = _encoder_backward(denc_out, cache["enc.f"], mask, w, "f", encs["f"], grads)
-        douts = np.split(dzf, np.cumsum([cfg.d_a, cfg.d_b]), axis=-1)
-        for name, x, dout in zip("abc", (cache["A"], cache["B"], cache["C"]), douts):
-            dz = _encoder_backward(dout, cache[f"enc.{name}"], mask, w, name, encs[name], grads)
-            grads[f"{name}.proj.W"] = _mat_grad(x, dz)
-            grads[f"{name}.proj.b"] = dz.sum((0, 1))
-    else:
-        dz = _encoder_backward(denc_out, cache["enc.f"], mask, w, "f", cfg.encoder(), grads)
-        grads["f.proj.W"] = _mat_grad(cache["x"], dz)
-        grads["f.proj.b"] = dz.sum((0, 1))
+    branches, fused = params.config.encoders()
+    douts = [denc_out]
+    if fused is not None:
+        dzf = _encoder_backward(denc_out, cache["enc.f"], mask, w, "f", fused, grads)
+        widths = [enc.d_model for _, enc in branches.values()]
+        douts = np.split(dzf, np.cumsum(widths[:-1]), axis=-1)
+    for (name, (_, enc)), dout in zip(branches.items(), douts):
+        dz = _encoder_backward(dout, cache[f"enc.{name}"], mask, w, name, enc, grads)
+        grads[f"{name}.proj.W"] = _mat_grad(cache[f"x.{name}"], dz)
+        grads[f"{name}.proj.b"] = dz.sum((0, 1))
     return {name: grads[name] for name in w}
 
 
@@ -675,15 +648,15 @@ def loss_and_grads(
 # Checkpoint serialization (shared by single models and the ensemble)
 
 _CKPT_MAGIC_KEY = "signrec-checkpoint"
+_PAYLOAD_ALIGN = 64  # numpy copies a misaligned f32 view before every matmul
 
 
 def save_checkpoint(path, config_doc: dict, tensors: dict[str, np.ndarray], meta: dict) -> None:
-    """u32 header length, JSON header, then little-endian f32 tensor payloads."""
-    names = sorted(tensors)
+    """u32 header length, JSON header padded to a 64-byte boundary, little-endian f32 tensors."""
     directory = []
     offset = 0
     blobs = []
-    for name in names:
+    for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name], dtype="<f4")
         directory.append({"name": name, "shape": list(arr.shape), "offset": offset})
         offset += arr.nbytes
@@ -696,6 +669,7 @@ def save_checkpoint(path, config_doc: dict, tensors: dict[str, np.ndarray], meta
         "tensors": directory,
     }
     raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    raw += b" " * (-(4 + len(raw)) % _PAYLOAD_ALIGN)
     with open(path, "wb") as fh:
         fh.write(struct.pack("<I", len(raw)))
         fh.write(raw)
@@ -709,6 +683,8 @@ def _tensor_entry(path, entry) -> tuple[str, tuple[int, ...], int]:
         name, shape, start = entry["name"], entry["shape"], entry["offset"]
     except (TypeError, KeyError) as exc:
         raise FormatError(f"{path}: bad tensor entry {entry!r}") from exc
+    if not isinstance(name, str):
+        raise FormatError(f"{path}: tensor name {name!r} is not a string")
     if not (isinstance(shape, list) and all(isinstance(d, int) and d >= 0 for d in shape)):
         raise FormatError(f"{path}: tensor {name} has bad shape {shape!r}")
     if not isinstance(start, int) or start < 0:
@@ -732,9 +708,8 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict]:
         header = json.loads(buf[4 : 4 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: bad checkpoint header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise FormatError(f"{path}: not a recognized checkpoint")
-    if header.get("format") != _CKPT_MAGIC_KEY or header.get("version") != 1:
+    recognized = isinstance(header, dict) and header.get("format") == _CKPT_MAGIC_KEY
+    if not recognized or header.get("version") != 1:
         raise FormatError(f"{path}: not a recognized checkpoint")
     if not isinstance(header.get("config"), dict) or not isinstance(header.get("tensors"), list):
         raise FormatError(f"{path}: checkpoint header lacks a config or a tensor list")

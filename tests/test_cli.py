@@ -303,14 +303,21 @@ def _no_frames(data):
     path.write_bytes(bytes(header))
 
 
-def _embeddings(edit):
-    """Edit that rewrites a dataset's embeddings.json as edit(doc)."""
+def _rewrite_json(name):
+    """Factory of edits that rewrite a dataset's JSON file `name` as edit(doc)."""
 
-    def apply(data):
-        path = data / "embeddings.json"
-        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    def factory(edit):
+        def apply(data):
+            path = data / name
+            path.write_text(json.dumps(edit(json.loads(path.read_text()))))
 
-    return apply
+        return apply
+
+    return factory
+
+
+_embeddings = _rewrite_json("embeddings.json")
+_manifest = _rewrite_json("manifest.json")
 
 
 def _tensor(header, name):
@@ -336,10 +343,18 @@ def _tensor(header, name):
         ("data", _embeddings(lambda d: {**d, "0": [0.0] * len(d["0"])}), FormatError),
         ("data", _embeddings(lambda d: {**d, "99": d["0"]}), FormatError),
         ("data", _embeddings(lambda d: {k: v for k, v in d.items() if k != "0"}), FormatError),
+        ("data", _manifest(lambda d: {**d, "feature_dims": "x"}), FormatError),
+        ("data", _manifest(lambda d: {**d, "feature_dims": {"hand_shape": 64}}), FormatError),
+        ("data", _manifest_record(path=7), FormatError),
+        ("data", _manifest(lambda d: {**d, "embeddings": 7}), FormatError),
+        ("data", _manifest(lambda d: {**d, "classes": [5] + d["classes"][1:]}), FormatError),
         ("late.ckpt", lambda h: h["tensors"].remove(_tensor(h, "a.proj.W")), FormatError),
         ("late.ckpt", lambda h: _tensor(h, "head.cls.b").update(shape=[3]), FormatError),
         ("ens.ckpt", lambda h: h["config"].update(chromosome=[1, 9] + [0] * 7), FormatError),
         ("ens.ckpt", lambda h: h["config"].update(chromosome=[1, 8.7] + [0] * 7), FormatError),
+        ("late.ckpt", lambda h: h["config"].update(heads=0), FormatError),
+        ("ens.ckpt", lambda h: h["tensors"][0].update(name=7), FormatError),
+        ("late.ckpt", lambda h: h["config"].update(num_classes=1), FormatError),
     ],
     ids=[
         "center-outside", "nan-feature", "inf-center", "label-not-int",
@@ -347,7 +362,10 @@ def _tensor(header, name):
         "embeddings-list-root", "embeddings-key-not-int", "embeddings-short-row",
         "embeddings-string-row", "embeddings-nan-row", "embeddings-zero-row",
         "embeddings-class-outside", "embeddings-missing-class",
+        "feature-dims-not-object", "feature-dims-other-width", "record-path-not-string",
+        "embeddings-path-not-string", "class-name-not-string",
         "missing-tensor", "short-tensor", "head-width", "fractional-gene",
+        "zero-heads", "tensor-name-not-string", "one-class",
     ],
 )
 def test_malformed_input_exits_2(pipeline, tmp_path, source, edit, error):

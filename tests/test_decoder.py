@@ -1,7 +1,5 @@
 """Sliding-window decoding: window math, thresholding, dedup fold."""
 
-import json
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -15,7 +13,6 @@ from signrec.decoder import (
     classify_window,
     decode,
     decode_trace,
-    save_trace,
     trace_to_json,
     windows,
 )
@@ -178,7 +175,7 @@ def test_decode_mean_confidence():
     npt.assert_allclose(mean, 0.55, rtol=1e-12)
 
 
-def test_decode_trace_structure_and_json(tmp_path):
+def test_decode_trace_structure_and_json():
     rows = [dist(101, 0, 0.7)] * 3 + [np.full(101, 1.0 / 101)] * 3 + [dist(101, 2, 0.8)] * 6
     model = scripted_model(rows)
     trace = decode_trace(model, flat_sequence(95), DecodeConfig())
@@ -196,10 +193,6 @@ def test_decode_trace_structure_and_json(tmp_path):
     assert doc["windows"][0] == {"start": 0, "word": 0, "confidence": 0.7}
     assert doc["windows"][3]["word"] is None
     assert [a["word"] for a in doc["accepted"]] == [0, 2]
-
-    path = tmp_path / "trace.json"
-    save_trace(trace, path)
-    assert json.loads(path.read_text()) == doc
 
 
 def test_decode_trace_empty_mean():

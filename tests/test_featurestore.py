@@ -246,7 +246,7 @@ def test_manifest_roundtrip_and_validation(tmp_path):
         RecordEntry("records/a.slf", 0, 0, "train"),
         RecordEntry("records/b.slf", 1, 1, "val"),
     )
-    man = DatasetManifest(("hello", "thanks"), entries, feature_dims=(126, 12, 120))
+    man = DatasetManifest(("hello", "thanks"), entries)
     path = tmp_path / "manifest.json"
     man.save(path)
     back = DatasetManifest.load(path)

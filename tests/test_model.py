@@ -7,7 +7,9 @@ cancel exactly in softmax) do not blow up the ratio.
 """
 
 import dataclasses
+import hashlib
 import math
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -37,6 +39,26 @@ from signrec.model import (
     _mask_bias,
 )
 from conftest import random_stream_batch
+
+
+# ---------------------------------------------------------------------------
+# parameter layout
+
+
+def test_parameter_layout_is_pinned():
+    """Names, shapes, order and init draws of the default configs' tensors.
+
+    Checkpoints key their tensors by these names, and the digests of trained
+    models depend on the draw order, so any change here must be on purpose.
+    """
+    want = {"late": ("2a7729838832e5a0", 74), "early": ("54d120e895bc3487", 22)}
+    for cfg in (LateFusionConfig(num_classes=10), EarlyFusionConfig(num_classes=10)):
+        tensors = init_params(cfg, np.random.default_rng(0)).tensors
+        h = hashlib.sha256()
+        for name, t in tensors.items():
+            h.update(f"{name}{t.shape}".encode())
+            h.update(t.tobytes())
+        assert (h.hexdigest()[:16], len(tensors)) == want[cfg.arch]
 
 
 # ---------------------------------------------------------------------------
@@ -450,13 +472,20 @@ def ref_encoder_backward(dout, caches, mask, w, name, enc, grads):
     return dcur + g
 
 
+def ref_encoders(cfg):
+    """name -> EncoderConfig of every encoder in the config's table."""
+    branches, fused = cfg.encoders()
+    encs = {name: enc for name, (_, enc) in branches.items()}
+    return encs if fused is None else {**encs, "f": fused}
+
+
 def ref_forward(params, A, B, C, mask, train=False, rng=None):
     """(probs, emb, cache) of one pass over the whole batch."""
     cfg, w = params.config, params.tensors
     T = A.shape[1]
     cache = {"A": A, "B": B, "C": C, "mask": mask}
+    encs = ref_encoders(cfg)
     if isinstance(cfg, LateFusionConfig):
-        encs = cfg.encoders()
         outs = []
         for name, x, d in (("a", A, cfg.d_a), ("b", B, cfg.d_b), ("c", C, cfg.d_c)):
             z = x @ w[f"{name}.proj.W"] + w[f"{name}.proj.b"] + positional_encoding(T, d)
@@ -470,7 +499,7 @@ def ref_forward(params, A, B, C, mask, train=False, rng=None):
         x = np.concatenate([A, B, C], axis=-1)
         cache["x"] = x
         z = x @ w["f.proj.W"] + w["f.proj.b"] + positional_encoding(T, cfg.d_model)
-        enc_out, cache["enc.f"] = ref_encoder_forward(z, mask, w, "f", cfg.encoder(), rng, train)
+        enc_out, cache["enc.f"] = ref_encoder_forward(z, mask, w, "f", encs["f"], rng, train)
     nreal = mask.sum(1).astype(np.float64)
     pooled = enc_out.sum(1) / nreal[:, None]
     logits = (pooled[:, None, :] @ w["head.cls.W"])[:, 0] + w["head.cls.b"]
@@ -504,8 +533,8 @@ def ref_loss_and_grads(params, A, B, C, mask, targets, target_emb, rng):
     grads["head.emb.b"] += demb.sum(0)
     dpooled = dlogits @ w["head.cls.W"].T + demb @ w["head.emb.W"].T
     denc_out = dpooled[:, None, :] * (mask[:, :, None] / nreal[:, None, None])
+    encs = ref_encoders(cfg)
     if isinstance(cfg, LateFusionConfig):
-        encs = cfg.encoders()
         dzf = ref_encoder_backward(denc_out, cache["enc.f"], mask, w, "f", encs["f"], grads)
         douts = np.split(dzf, np.cumsum([cfg.d_a, cfg.d_b]), axis=-1)
         for name, x, dout in zip("abc", (A, B, C), douts):
@@ -513,7 +542,7 @@ def ref_loss_and_grads(params, A, B, C, mask, targets, target_emb, rng):
             grads[f"{name}.proj.W"] += ref_mat_grad(x, dz)
             grads[f"{name}.proj.b"] += dz.sum((0, 1))
     else:
-        dz = ref_encoder_backward(denc_out, cache["enc.f"], mask, w, "f", cfg.encoder(), grads)
+        dz = ref_encoder_backward(denc_out, cache["enc.f"], mask, w, "f", encs["f"], grads)
         grads["f.proj.W"] += ref_mat_grad(cache["x"], dz)
         grads["f.proj.b"] += dz.sum((0, 1))
     return loss, grads, probs, emb
@@ -763,6 +792,22 @@ def test_checkpoint_roundtrip(tmp_path, tiny_late_config):
     first = path.read_bytes()
     save_model(path, params, meta={"epoch": 3, "val_top1": 0.5})
     assert path.read_bytes() == first
+
+
+def test_checkpoint_payload_is_aligned(tmp_path, tiny_early_config):
+    params = init_params(tiny_early_config, np.random.default_rng(5))
+    path = tmp_path / "m.ckpt"
+    residues = set()
+    for pad in range(8):  # unpadded header lengths cover every residue mod 4
+        save_model(path, params, meta={"pad": "x" * pad})
+        raw = path.read_bytes()
+        (hlen,) = struct.unpack_from("<I", raw)
+        residues.add(len(raw[4 : 4 + hlen].rstrip(b" ")) % 4)
+        assert (4 + hlen) % 64 == 0
+        loaded, meta = load_model(path)
+        assert meta == {"pad": "x" * pad}
+        assert all(t.flags.aligned for t in loaded.tensors.values())
+    assert residues == {0, 1, 2, 3}
 
 
 def test_checkpoint_corruption(tmp_path, tiny_early_config):
