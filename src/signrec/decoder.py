@@ -2,11 +2,14 @@
 
 A fixed-size window advances over the input in small steps; each window is
 classified in isolation and windows whose best class probability does not
-exceed the confidence threshold become null predictions. A final pass keeps
-only confident words that differ from the last accepted word, so repeats of
-one word across overlapping windows (even separated by nulls) collapse to a
-single acceptance. A genuine immediate repetition in the signal is therefore
-unrecoverable by design.
+exceed the confidence threshold become null predictions. A sentence's windows
+are scored in batches of up to 32 through the model's probs; every model row
+(base forwards and ensemble head alike) gives the same bits in any batch, so a
+window's confidence does not depend on which windows share its batch. A final
+pass keeps only confident words that differ from the last accepted word, so
+repeats of one word across overlapping windows (even separated by nulls)
+collapse to a single acceptance. A genuine immediate repetition in the signal
+is therefore unrecoverable by design.
 """
 
 from __future__ import annotations
@@ -18,7 +21,10 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .featurestore import FeatureSequence
-from .preprocess import assemble_streams, stack_batches
+from .train import split_probabilities
+
+# Windows per model.probs call in decode_trace.
+_WINDOW_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -63,16 +69,11 @@ def windows(seq_len: int, config: DecodeConfig) -> list[int]:
     return list(range(0, seq_len - config.window + 1, config.step))
 
 
-def classify_window(
-    model, window: FeatureSequence, config: DecodeConfig, start: int = 0
-) -> WindowPrediction:
-    """Classify one window of frames with model.probs; below-threshold maxima become null.
+def classify_window(probs: np.ndarray, config: DecodeConfig, start: int = 0) -> WindowPrediction:
+    """Threshold one window's (K,) class probabilities; below-threshold maxima become null.
 
-    window may be shorter than config.window (trailing zero padding is
-    masked in). The threshold is strict: confidence must exceed it.
+    The threshold is strict: confidence must exceed it.
     """
-    sb = assemble_streams(window, config.window)
-    probs = model.probs(*stack_batches([sb]))[0]
     best = int(np.argmax(probs))
     confidence = float(probs[best])
     word = best if confidence > config.threshold else None
@@ -102,12 +103,16 @@ def decode_trace(model, seq: FeatureSequence, config: DecodeConfig = DecodeConfi
     """Full decoding trace: every window prediction plus the accepted words.
 
     Each window is a fresh record over a slice of seq's arrays, so hand
-    tracking starts over at every window start.
+    tracking starts over at every window start; a window shorter than
+    config.window is zero-padded and masked. The windows are scored by
+    split_probabilities in batches of _WINDOW_BATCH, each assembled only when
+    it is scored, then thresholded one by one with classify_window.
     """
-    preds = []
-    for start in windows(len(seq), config):
-        window = FeatureSequence(*(a[start : start + config.window] for a in seq.arrays()))
-        preds.append(classify_window(model, window, config, start))
+    starts = windows(len(seq), config)
+    arrays = seq.arrays()
+    slices = [FeatureSequence(*(a[s : s + config.window] for a in arrays)) for s in starts]
+    probs = split_probabilities(model, slices, config.window, _WINDOW_BATCH)
+    preds = [classify_window(row, config, s) for row, s in zip(probs, starts)]
     words, confs = accept_stream(preds)
     return DecodeTrace(tuple(preds), tuple(words), tuple(confs))
 

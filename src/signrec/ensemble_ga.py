@@ -333,10 +333,16 @@ class EnsembleClassifier:
     head: EnsembleParams
 
     def probs(self, A, B, C, mask, toggles=(True, True, True)) -> np.ndarray:
-        """(N,K) fused class probabilities; the toggles apply to both bases."""
+        """(N,K) fused class probabilities; the toggles apply to both bases.
+
+        The head runs one row at a time, as ensemble_forward does: a 2-D GEMM's
+        per-row sums depend on how many rows share it, so a row gives the same
+        bits in any batch. Head training keeps the whole-batch GEMM.
+        """
         pe = self.early.probs(A, B, C, mask, toggles)
         pl = self.late.probs(A, B, C, mask, toggles)
-        return _head_forward(self.head, np.concatenate([pe, pl], axis=1))[0]
+        x = np.concatenate([pe, pl], axis=1)
+        return np.concatenate([_head_forward(self.head, x[i : i + 1])[0] for i in range(len(x))])
 
     def __call__(self, sb: StreamBatch) -> np.ndarray:
         return self.probs(*stack_batches([sb]))[0]

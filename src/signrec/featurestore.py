@@ -225,6 +225,8 @@ class DatasetManifest:
             if doc.get("feature_dims", _FEATURE_DIMS) != _FEATURE_DIMS:
                 raise FormatError(f"malformed manifest: feature_dims must be {_FEATURE_DIMS}")
             embeddings = doc.get("embeddings", "embeddings.json")
+            if not isinstance(doc["classes"], list):
+                raise FormatError("malformed manifest: classes must be a JSON list of strings")
             return DatasetManifest(tuple(doc["classes"]), records, embeddings)
         except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
             raise FormatError(f"malformed manifest: {exc}") from exc

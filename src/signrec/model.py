@@ -59,6 +59,20 @@ _BLOCK_CELLS = 128
 # Configuration
 
 
+def _check_ints(config) -> None:
+    """ConfigurationError unless every int-annotated field of config holds an integer.
+
+    A checkpoint header is JSON, so a size, head or block count can arrive as
+    1.5 (or true); the shape code needs real integers. The two model configs
+    run it on every field their EncoderConfigs are built from, so encoders(),
+    called on every forward, does not repeat it.
+    """
+    for f in dataclasses.fields(config):
+        v = getattr(config, f.name)
+        if f.type in ("int", int) and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
+            raise ConfigurationError(f"{f.name} must be an integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     d_model: int
@@ -96,6 +110,7 @@ class LateFusionConfig:
     arch = "late"
 
     def __post_init__(self):
+        _check_ints(self)
         if self.num_classes < 2:
             raise ConfigurationError("need at least 2 classes")
         self.encoders()  # constructing them runs the divisibility checks
@@ -128,6 +143,7 @@ class EarlyFusionConfig:
     arch = "early"
 
     def __post_init__(self):
+        _check_ints(self)
         if self.num_classes < 2:
             raise ConfigurationError("need at least 2 classes")
         self.encoders()

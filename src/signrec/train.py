@@ -136,14 +136,18 @@ def split_probabilities(
     """Deterministic (N,K) class probabilities for a list of records.
 
     Length normalization is driven by the fixed evaluation seed, threaded
-    over the records in order, so repeated calls agree bit for bit.
+    over the records in order, so repeated calls agree bit for bit. Each
+    batch is assembled only when it is scored, so memory does not grow with
+    the number of records.
     """
     rng = np.random.default_rng(EVAL_SEED)
-    batches = [assemble_streams(r, T, rng) for r in records]
     return np.concatenate(
         [
-            model.probs(*stack_batches(batches[i : i + batch_size]), toggles)
-            for i in range(0, len(batches), batch_size)
+            model.probs(
+                *stack_batches([assemble_streams(r, T, rng) for r in records[i : i + batch_size]]),
+                toggles,
+            )
+            for i in range(0, len(records), batch_size)
         ]
     )
 

@@ -355,6 +355,9 @@ def _tensor(header, name):
         ("late.ckpt", lambda h: h["config"].update(heads=0), FormatError),
         ("ens.ckpt", lambda h: h["tensors"][0].update(name=7), FormatError),
         ("late.ckpt", lambda h: h["config"].update(num_classes=1), FormatError),
+        ("late.ckpt", lambda h: h["config"].update(blocks=1.5), FormatError),
+        ("early.ckpt", lambda h: h["config"].update(heads=1.5), FormatError),
+        ("data", _manifest(lambda d: {**d, "classes": "abcd"[: len(d["classes"])]}), FormatError),
     ],
     ids=[
         "center-outside", "nan-feature", "inf-center", "label-not-int",
@@ -365,7 +368,8 @@ def _tensor(header, name):
         "feature-dims-not-object", "feature-dims-other-width", "record-path-not-string",
         "embeddings-path-not-string", "class-name-not-string",
         "missing-tensor", "short-tensor", "head-width", "fractional-gene",
-        "zero-heads", "tensor-name-not-string", "one-class",
+        "zero-heads", "tensor-name-not-string", "one-class", "blocks-fractional",
+        "heads-fractional", "classes-string",
     ],
 )
 def test_malformed_input_exits_2(pipeline, tmp_path, source, edit, error):

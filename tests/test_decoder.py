@@ -1,9 +1,18 @@
 """Sliding-window decoding: window math, thresholding, dedup fold."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from signrec.ensemble_ga import (
+    Chromosome,
+    EnsembleClassifier,
+    init_ensemble_params,
+    load_ensemble,
+    save_ensemble,
+)
 from signrec.errors import ConfigurationError
 from signrec.decoder import (
     DecodeConfig,
@@ -16,7 +25,9 @@ from signrec.decoder import (
     trace_to_json,
     windows,
 )
-from signrec.featurestore import ARM_DIM, HAND_DIM, LIP_DIM, FeatureSequence
+from signrec.featurestore import ARM_DIM, HAND_DIM, LIP_DIM, FeatureSequence, concat_sentence
+from signrec.model import init_params
+from signrec.preprocess import assemble_streams
 from conftest import RowwiseModel
 
 
@@ -92,21 +103,18 @@ def test_decode_config_validation():
 
 def test_classify_window_threshold_boundary():
     cfg = DecodeConfig()
-    window = flat_sequence(40)
-    below = classify_window(scripted_model([dist(101, 2, 0.19)]), window, cfg, start=10)
+    below = classify_window(dist(101, 2, 0.19), cfg, start=10)
     assert below.word is None and below.start == 10
     npt.assert_allclose(below.confidence, 0.19, rtol=1e-12)
 
-    above = classify_window(scripted_model([dist(5, 2, 0.21)]), window, cfg)
+    above = classify_window(dist(5, 2, 0.21), cfg)
     assert above.word == 2
     npt.assert_allclose(above.confidence, 0.21, rtol=1e-12)
 
 
 def test_classify_window_uniform_101_is_null():
     cfg = DecodeConfig()
-    pred = classify_window(
-        scripted_model([np.full(101, 1.0 / 101)]), flat_sequence(12), cfg
-    )
+    pred = classify_window(np.full(101, 1.0 / 101), cfg)
     assert pred.word is None
     npt.assert_allclose(pred.confidence, 1.0 / 101, rtol=1e-12)
 
@@ -206,3 +214,60 @@ def test_decode_deterministic():
     r1 = decode(scripted_model(rows), seq, DecodeConfig())
     r2 = decode(scripted_model(rows), seq, DecodeConfig())
     assert r1 == r2
+
+
+# ---------------------------------------------------------------------------
+# batched window scoring
+
+
+class CountingModel:
+    """Fake model that records each probs call's rows and the first hand value of each row."""
+
+    def __init__(self):
+        self.calls = []
+
+    def probs(self, A, B, C, mask, toggles=(True, True, True)):
+        self.calls.append(A[:, 0, 0].copy())
+        return np.tile(dist(5, 3, 0.9), (len(A), 1))
+
+
+@pytest.mark.parametrize("n_windows", [1, 31, 32, 33, 70, 2000])
+def test_decode_trace_scores_windows_in_batches_of_32(n_windows):
+    cfg = DecodeConfig()
+    seq = flat_sequence(cfg.window + (n_windows - 1) * cfg.step)
+    seq.hand[:, 0] = np.arange(len(seq))  # a window's first hand value is its start
+    model = CountingModel()
+    trace = decode_trace(model, seq, cfg)
+    starts = [p.start for p in trace.predictions]
+    assert starts == windows(len(seq), cfg) and len(starts) == n_windows
+    assert len(model.calls) <= math.ceil(n_windows / 32)
+    assert max(len(rows) for rows in model.calls) <= 32
+    assert np.concatenate(model.calls).tolist() == starts
+    assert list(trace.accepted_words) == [3]
+
+
+@pytest.mark.parametrize("words, window, step", [(6, 12, 1), (1, 20, 5)])
+def test_decode_trace_matches_windows_scored_alone(
+    tmp_path, tiny_dataset, tiny_early_config, tiny_late_config, words, window, step
+):
+    # A loaded (float32) ensemble with the served head widths, at which a
+    # whole-batch head GEMM would give some rows different bits.
+    early = init_params(tiny_early_config, np.random.default_rng(20))
+    late = init_params(tiny_late_config, np.random.default_rng(21))
+    head = init_ensemble_params(Chromosome((2, 128, 64) + (0,) * 6), 4, np.random.default_rng(26))
+    save_ensemble(tmp_path / "ens.ckpt", EnsembleClassifier(early, late, head))
+    clf, _ = load_ensemble(tmp_path / "ens.ckpt")
+    seq, _ = concat_sentence(tiny_dataset.sequences[:words])
+    cfg = DecodeConfig(window=window, step=step, threshold=0.275)
+
+    trace = decode_trace(clf, seq, cfg)
+    alone = []
+    for start in windows(len(seq), cfg):
+        win = FeatureSequence(*(a[start : start + window] for a in seq.arrays()))
+        alone.append(classify_window(clf(assemble_streams(win, window)), cfg, start))
+    assert len(trace.predictions) == len(alone) > (32 if words > 1 else 0)
+    got = np.array([p.confidence for p in trace.predictions], dtype=np.float32)
+    want = np.array([p.confidence for p in alone], dtype=np.float32)
+    assert got.tobytes() == want.tobytes()
+    assert [p.word for p in trace.predictions] == [p.word for p in alone]
+    assert list(trace.predictions) == alone

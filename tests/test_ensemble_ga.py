@@ -31,7 +31,7 @@ from signrec.ensemble_ga import (
     uniform_crossover,
 )
 from signrec.model import LateFusionConfig, EarlyFusionConfig, init_params
-from signrec.preprocess import StreamBatch, assemble_streams
+from signrec.preprocess import StreamBatch, assemble_streams, stack_batches
 from signrec.train import EVAL_SEED, evaluate, split_probabilities
 from conftest import TINY_T, random_stream_batch
 
@@ -390,6 +390,23 @@ def test_loaded_ensemble_serves_float32_and_matches_offline_scoring(tmp_path, ti
     offline = np.stack([ensemble_forward(e, l, clf.head) for e, l in zip(pe, pl)])
     assert online.dtype == offline.dtype == np.float32
     assert online.tobytes() == offline.tobytes()
+
+
+def test_loaded_ensemble_rows_do_not_depend_on_the_batch(tmp_path, tiny_dataset):
+    # (2, 128, 64) is the served head. At these widths a float32 2-D GEMM over
+    # 32 rows gives some rows other bits than a one-row GEMM; the tiny (2, 12, 8)
+    # head above hides that.
+    early, late = tiny_bases(tiny_dataset)
+    head = init_ensemble_params(chrom(2, 128, 64), 4, np.random.default_rng(26))
+    path = tmp_path / "ens.ckpt"
+    save_ensemble(path, EnsembleClassifier(early, late, head))
+    clf, _ = load_ensemble(path)
+    rng = np.random.default_rng(EVAL_SEED)
+    sbs = [assemble_streams(r, TINY_T, rng) for r in tiny_dataset.sequences[:32]]
+    batched = clf.probs(*stack_batches(sbs))
+    rows = np.stack([clf(sb) for sb in sbs])
+    assert batched.dtype == rows.dtype == np.float32
+    assert batched.tobytes() == rows.tobytes()
 
 
 def test_load_ensemble_rejects_single_model(tmp_path, tiny_dataset):

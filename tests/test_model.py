@@ -331,6 +331,13 @@ def test_config_validation_and_json_roundtrip(tiny_late_config, tiny_early_confi
         config_from_json({"arch": "middle", "num_classes": 4})
     with pytest.raises(FormatError):
         config_from_json({"arch": "late", "num_classes": 4, "bogus": 1})
+    # every size, head and block count must be an int (264 % 1.5 == 0 would pass the divisibility check)
+    for field, value in (("heads", 1.5), ("blocks", 1.5), ("num_classes", 4.0), ("embed_dim", True)):
+        with pytest.raises(ConfigurationError):
+            EarlyFusionConfig(**{"num_classes": 4, field: value})
+    for field in ("d_c", "ffn_fused", "blocks"):
+        with pytest.raises(ConfigurationError):
+            LateFusionConfig(**{"num_classes": 4, field: 2.5})
 
 
 # ---------------------------------------------------------------------------

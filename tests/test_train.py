@@ -8,8 +8,9 @@ import pytest
 
 from signrec.errors import ConfigurationError, TrainingDivergenceError
 from signrec.model import init_params, label_smooth, loss_and_grads
-from signrec.preprocess import assemble_streams
+from signrec.preprocess import assemble_streams, stack_batches
 from signrec.train import (
+    EVAL_SEED,
     AdamaxState,
     Checkpoint,
     TrainConfig,
@@ -332,3 +333,27 @@ def test_split_probabilities_deterministic(tiny_dataset, tiny_late_config):
     # batches of 32 agree with one record at a time
     p3 = split_probabilities(params, records, T=TINY_T, batch_size=1)
     npt.assert_allclose(p1, p3, rtol=1e-12)
+
+
+def ref_split_probabilities(model, records, T, batch_size=32, toggles=(True, True, True)):
+    """Oracle: the form that assembles every record before scoring the first batch."""
+    rng = np.random.default_rng(EVAL_SEED)
+    batches = [assemble_streams(r, T, rng) for r in records]
+    return np.concatenate(
+        [
+            model.probs(*stack_batches(batches[i : i + batch_size]), toggles)
+            for i in range(0, len(batches), batch_size)
+        ]
+    )
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 70])
+def test_split_probabilities_matches_assemble_first_oracle(tiny_dataset, tiny_late_config, n):
+    params = init_params(tiny_late_config, np.random.default_rng(9))
+    # records up to 14 frames at T=12: the longer ones draw their deletions from the rng
+    records = (list(tiny_dataset.sequences) * 2)[:n]
+    for toggles in ((True, True, True), (False, True, True)):
+        got = split_probabilities(params, records, TINY_T, toggles=toggles)
+        want = ref_split_probabilities(params, records, TINY_T, toggles=toggles)
+        assert got.shape == (n, 4)
+        assert got.tobytes() == want.tobytes()
