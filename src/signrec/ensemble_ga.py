@@ -487,9 +487,11 @@ def _build_ensemble(path, config_doc: dict, tensors: dict[str, np.ndarray]) -> E
         early_cfg = config_from_json(config_doc["early"])
         late_cfg = config_from_json(config_doc["late"])
         chromosome = Chromosome(tuple(config_doc["chromosome"]))
-        k = int(config_doc["num_classes"])
+        k = config_doc["num_classes"]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad ensemble config: {exc!r}") from exc
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise FormatError(f"{path}: num_classes must be an integer, got {k!r}")
     if early_cfg.num_classes != k or late_cfg.num_classes != k:
         raise FormatError(f"{path}: base models and head disagree on class count")
     check_tensors(path, groups["early"], param_shapes(early_cfg))

@@ -16,7 +16,7 @@ import json
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -200,9 +200,6 @@ class DatasetManifest:
     @property
     def num_classes(self) -> int:
         return len(self.classes)
-
-    def signer_ids(self) -> set[int]:
-        return {r.signer_id for r in self.records}
 
     def to_json(self) -> dict:
         return {
@@ -474,27 +471,3 @@ def build_sentences(
             words.append(cand)
         sentences.append(concat_sentence(words))
     return sentences
-
-
-def split_by_signer(
-    manifest: DatasetManifest,
-    train_ids: Iterable[int],
-    val_ids: Iterable[int],
-    test_ids: Iterable[int],
-) -> DatasetManifest:
-    """Retag every record's split according to its signer's set."""
-    train, val, test = set(train_ids), set(val_ids), set(test_ids)
-    if train & val or train & test or val & test:
-        raise ConfigurationError("signer id sets must be pairwise disjoint")
-    assigned = train | val | test
-    missing = manifest.signer_ids() - assigned
-    if missing:
-        raise ConfigurationError(f"signers {sorted(missing)} not assigned to any split")
-
-    def tag(s: int) -> str:
-        return "train" if s in train else ("val" if s in val else "test")
-
-    records = tuple(
-        RecordEntry(r.path, r.signer_id, r.label_id, tag(r.signer_id)) for r in manifest.records
-    )
-    return DatasetManifest(manifest.classes, records, manifest.embeddings_path)

@@ -1,9 +1,12 @@
 """Transformer encoders for early- and late-fusion sign-word classification.
 
-Everything is plain numpy. Activations take the dtype of the parameters, and
-the streams are cast to it on entry: init_params gives float64, so training
-and the gradient checks run in float64, and load_checkpoint gives float32, so
-loaded models serve in float32. forward_batch runs either architecture over
+Everything is plain numpy. Activations, dropout draws and gradients take the
+dtype of the parameters, and the streams are cast to it on entry. init_params
+gives float64 master weights; the training loop casts them to float32 for each
+step's pass and applies the float32 gradients to the float64 masters. The
+gradient checks call loss_and_grads on the float64 weights directly, so they
+stay in float64. load_checkpoint gives float32, so loaded models serve in
+float32, as freshly trained ones do. forward_batch runs either architecture over
 (N,T,dim) stream arrays; loss_and_grads adds the combined loss and the full
 analytic backward pass used by the training loop. Gradients are written by
 hand and validated against central finite differences in the test suite.
@@ -352,7 +355,7 @@ def _attn_forward(X, bias, w, prefix, heads, dropout, rng, train):
     pd = p
     if train and dropout > 0.0:
         c = 1.0 / (1.0 - dropout)
-        pd = rng.random(p.shape)
+        pd = rng.random(p.shape, dtype=p.dtype)
         keep = pd >= dropout
         np.multiply(p, keep, out=pd)
         pd *= c
@@ -404,7 +407,7 @@ def _block_forward(X, mask, bias, w, prefix, enc: EncoderConfig, rng, train):
     np.maximum(rd, 0.0, out=rd)
     c = None
     if train and enc.dropout_rate > 0.0:
-        rd *= rng.random(rd.shape) >= enc.dropout_rate
+        rd *= rng.random(rd.shape, dtype=rd.dtype) >= enc.dropout_rate
         c = 1.0 / (1.0 - enc.dropout_rate)
         rd *= c
     f = _affine(rd, w[f"{prefix}.ffn.W2"], w[f"{prefix}.ffn.b2"])
@@ -656,7 +659,9 @@ def loss_and_grads(
     # d(mean loss)/dprobs: only coordinates above the floor carry gradient
     dprobs = np.where(probs > _PROB_FLOOR, -targets / clamped, 0.0) * (class_weight / n)
     demb = (embed_weight / n) * (-target_emb / (pn * tn)[:, None] + (cos / (pn * pn))[:, None] * emb)
-    grads = _backward_batch(params, cache, dprobs, demb)
+    grads = _backward_batch(
+        params, cache, dprobs.astype(probs.dtype, copy=False), demb.astype(probs.dtype, copy=False)
+    )
     return loss, grads, probs
 
 

@@ -23,6 +23,7 @@ from .metrics import confusion_matrix, topk_accuracy
 from .model import (
     _ARCH_CONFIGS,
     ModelConfig,
+    ModelParams,
     init_params,
     label_smooth,
     loss_and_grads,
@@ -249,7 +250,12 @@ def train_model(
 
     The combined loss is loss_weights[0] * label-smoothed cross-entropy plus
     loss_weights[1] * negative cosine similarity to the class word vector.
-    Checkpoint selection and the per-epoch log are _fit_epochs'.
+    Mixed precision: the master weights and the Adamax state stay float64.
+    Each step casts the masters to float32 once, loss_and_grads runs on that
+    copy, and Adamax applies its float32 gradients to the masters.
+    Validation scores the float32 cast, and the checkpoint holds the float32
+    cast of the best weights: the bytes save_model writes and a loaded model
+    serves. Checkpoint selection and the per-epoch log are _fit_epochs'.
     """
     train_recs = dataset.split("train")
     val_recs = dataset.split("val")
@@ -278,16 +284,25 @@ def train_model(
         a, b, c, m = stack_batches(sbs)
         targets = label_smooth(eye[labels[chunk]], config.label_smoothing)
         return loss_and_grads(
-            params, a, b, c, m, targets, emb[labels[chunk]],
+            _float32(params), a, b, c, m, targets, emb[labels[chunk]],
             class_weight=cw, embed_weight=ew,
             train=True, rng=dropout_rng, toggles=config.stream_toggles,
         )[:2]
 
     def val_probs(params):
-        return split_probabilities(params, val_recs, T, config.batch_size, config.stream_toggles)
+        return split_probabilities(
+            _float32(params), val_recs, T, config.batch_size, config.stream_toggles
+        )
 
     val_labels = np.asarray([r.label_id for r in val_recs])
-    return _fit_epochs(
+    best = _fit_epochs(
         params, len(train_recs), batch_loss, val_probs, val_labels, config, shuffle_rng,
         log_path, verbose,
     )
+    best.params = _float32(best.params)
+    return best
+
+
+def _float32(params: ModelParams) -> ModelParams:
+    """The float32 cast of a model's (float64 master) weights."""
+    return ModelParams(params.config, {k: v.astype(np.float32) for k, v in params.tensors.items()})

@@ -324,6 +324,11 @@ def _tensor(header, name):
     return next(t for t in header["tensors"] if t["name"] == name)
 
 
+def _num_classes(f):
+    """Edit that replaces a checkpoint's num_classes k with f(k)."""
+    return lambda header: header["config"].update(num_classes=f(header["config"]["num_classes"]))
+
+
 @pytest.mark.parametrize(
     "source, edit, error",
     [
@@ -358,6 +363,10 @@ def _tensor(header, name):
         ("late.ckpt", lambda h: h["config"].update(blocks=1.5), FormatError),
         ("early.ckpt", lambda h: h["config"].update(heads=1.5), FormatError),
         ("data", _manifest(lambda d: {**d, "classes": "abcd"[: len(d["classes"])]}), FormatError),
+        ("ens.ckpt", _num_classes(lambda k: k + 0.5), FormatError),
+        ("ens.ckpt", _num_classes(str), FormatError),
+        ("ens.ckpt", _num_classes(float), FormatError),
+        ("ens.ckpt", _num_classes(lambda k: True), FormatError),
     ],
     ids=[
         "center-outside", "nan-feature", "inf-center", "label-not-int",
@@ -369,7 +378,8 @@ def _tensor(header, name):
         "embeddings-path-not-string", "class-name-not-string",
         "missing-tensor", "short-tensor", "head-width", "fractional-gene",
         "zero-heads", "tensor-name-not-string", "one-class", "blocks-fractional",
-        "heads-fractional", "classes-string",
+        "heads-fractional", "classes-string", "ensemble-classes-fractional",
+        "ensemble-classes-string", "ensemble-classes-float", "ensemble-classes-bool",
     ],
 )
 def test_malformed_input_exits_2(pipeline, tmp_path, source, edit, error):

@@ -270,3 +270,4 @@ def test_decode_trace_matches_windows_scored_alone(
     want = np.array([p.confidence for p in alone], dtype=np.float32)
     assert got.tobytes() == want.tobytes()
     assert [p.word for p in trace.predictions] == [p.word for p in alone]
+    assert list(trace.predictions) == alone

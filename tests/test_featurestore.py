@@ -23,7 +23,6 @@ from signrec.featurestore import (
     load_dataset,
     load_record,
     save_record,
-    split_by_signer,
     write_dataset,
 )
 
@@ -352,24 +351,3 @@ def test_build_sentences(tiny_dataset):
     assert [ref for _, ref in again] == [ref for _, ref in sents]
     with pytest.raises(ConfigurationError):
         build_sentences(tiny_dataset, count=2, split="nonesuch")
-
-
-def test_split_by_signer(tiny_dataset):
-    man = tiny_dataset.manifest
-    out = split_by_signer(man, {0, 1}, {2}, set())
-    tags = {r.signer_id: r.split for r in out.records}
-    assert tags == {0: "train", 1: "train", 2: "val"}
-
-    with pytest.raises(ConfigurationError):
-        split_by_signer(man, {0, 1}, {1}, {2})
-    with pytest.raises(ConfigurationError):
-        split_by_signer(man, {0}, {1}, set())  # signer 2 unassigned
-
-
-def test_split_by_signer_nine_one_one():
-    ds = generate_synthetic_dataset(2, 1, 11, length_range=(5, 7), noise_sigma=0.05, seed=1)
-    man = split_by_signer(ds.manifest, set(range(9)), {9}, {10})
-    counts = {"train": 0, "val": 0, "test": 0}
-    for r in man.records:
-        counts[r.split] += 1
-    assert counts == {"train": 18, "val": 2, "test": 2}

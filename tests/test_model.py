@@ -671,6 +671,43 @@ def test_float32_params_and_streams_give_float32_outputs(tiny_late_config, tiny_
             assert_same_bits((p64in, e64in), (probs, emb))
 
 
+def test_float32_training_pass_stays_float32_and_near_float64(tiny_late_config, tiny_early_config):
+    """A float32 training pass against the same values computed in float64.
+
+    Tolerance, fixed from float32's epsilon (1.2e-7) with room for the sums
+    of a pass: every gradient tensor within 1e-4 of the float64 one, relative
+    to its own norm floored at 1e-3 of the whole gradient's norm (the
+    attention key biases' gradients are zero up to rounding, as they cancel
+    in the softmax). The loss agrees to 1e-5 relative.
+    """
+    rng = np.random.default_rng(24)
+    a, b, c, mask = padded_batch(rng, (9, 3, 1, 9, 6), T=9)
+    a, b, c = (x.astype(np.float32) for x in (a, b, c))
+    targets = label_smooth(np.eye(4)[[0, 3, 1, 2, 3]])
+    temb = rng.standard_normal((5, 300))
+    for base in (tiny_late_config, tiny_early_config):
+        params = init_params(base, np.random.default_rng(9))
+        t32 = {k: v.astype(np.float32) for k, v in params.tensors.items()}
+        # with dropout on, the draws and every gradient stay float32
+        _, grads, probs = loss_and_grads(
+            ModelParams(base, t32), a, b, c, mask, targets, temb,
+            train=True, rng=np.random.default_rng(5),
+        )
+        assert probs.dtype == np.float32
+        assert all(g.dtype == np.float32 for g in grads.values())
+
+        cfg = dataclasses.replace(base, dropout_rate=0.0)
+        t64 = {k: v.astype(np.float64) for k, v in t32.items()}
+        loss32, g32, _ = loss_and_grads(ModelParams(cfg, t32), a, b, c, mask, targets, temb)
+        loss64, g64, _ = loss_and_grads(ModelParams(cfg, t64), a, b, c, mask, targets, temb)
+        assert all(g.dtype == np.float32 for g in g32.values())
+        assert abs(loss32 - loss64) <= 1e-5 * abs(loss64)
+        floor = 1e-3 * math.sqrt(sum(np.sum(g * g) for g in g64.values()))
+        for name, want in g64.items():
+            err = np.linalg.norm(g32[name] - want) / max(np.linalg.norm(want), floor)
+            assert err < 1e-4, f"{cfg.arch} {name}: relative error {err:.2e}"
+
+
 # ---------------------------------------------------------------------------
 # losses
 

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 from signrec.errors import ConfigurationError, TrainingDivergenceError
-from signrec.model import init_params, label_smooth, loss_and_grads
+from signrec.model import init_params, label_smooth, load_model, loss_and_grads, save_model
 from signrec.preprocess import assemble_streams, stack_batches
 from signrec.train import (
     EVAL_SEED,
@@ -159,6 +159,24 @@ def test_train_model_log_and_checkpoint_selection(tmp_path, tiny_dataset):
     # checkpoint metrics agree with a fresh evaluation of the stored params
     top1, top5, _, _ = evaluate(ck.params, tiny_dataset.split("val"), T=TINY_T)
     assert top1 == ck.val_top1 and top5 == ck.val_top5
+
+
+def test_train_model_checkpoint_is_the_float32_that_is_saved(tmp_path, tiny_dataset):
+    ck = train_model(
+        tiny_dataset, "late", small_config(epochs=1), model_config=tiny_model_kwargs()
+    )
+    assert all(t.dtype == np.float32 for t in ck.params.tensors.values())
+    path = tmp_path / "m.ckpt"
+    save_model(path, ck.params)
+    loaded, _ = load_model(path)
+    assert loaded.tensors.keys() == ck.params.tensors.keys()
+    for name, tensor in ck.params.tensors.items():
+        assert loaded.tensors[name].dtype == np.float32
+        assert loaded.tensors[name].tobytes() == tensor.tobytes()
+    # so the loaded model scores the validation split exactly as training did
+    val = tiny_dataset.split("val")
+    want = split_probabilities(ck.params, val, TINY_T, 8)
+    assert split_probabilities(loaded, val, TINY_T, 8).tobytes() == want.tobytes()
 
 
 class ScriptedParams:
