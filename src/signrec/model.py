@@ -718,6 +718,7 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict]:
 
     Tensors come back as read-only float32 views of the file's bytes, so a
     loaded model serves in float32; ModelParams.copy gives writable ones.
+    A tensor holding a NaN or infinity is a FormatError.
     """
     buf = Path(path).read_bytes()
     if len(buf) < 4:
@@ -742,6 +743,8 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict]:
         if start + 4 * count > payload_len:
             raise FormatError(f"{path}: tensor {name} extends past end of file")
         arr = np.frombuffer(buf, dtype="<f4", count=count, offset=4 + hlen + start)
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: tensor {name} holds a non-finite value")
         tensors[name] = arr.reshape(shape)
     return header["config"], tensors, header.get("meta", {})
 

@@ -96,30 +96,35 @@ def adamax_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[dict[str, np.ndarray], AdamaxState]:
-    """One Adamax update with decoupled weight decay.
+    """One Adamax update with decoupled weight decay, in place.
 
     m <- b1 m + (1-b1) g; u <- max(b2 u, |g|);
     theta <- theta - lr m / ((1 - b1^t)(u + eps)); then theta <- theta (1 - lr wd).
+
+    Every array of `tensors`, `state.m` and `state.u` is overwritten, so the
+    caller owns them and they must be writable; the return is the caller's
+    own (tensors, state). Every gradient is checked for finiteness before any
+    array is touched, so a TrainingDivergenceError leaves them all as they were.
     """
     if t < 1:
         raise ConfigurationError("step counter t must be >= 1")
-    new_t: dict[str, np.ndarray] = {}
-    new_m: dict[str, np.ndarray] = {}
-    new_u: dict[str, np.ndarray] = {}
+    for name in tensors:
+        if not np.all(np.isfinite(grads[name])):
+            raise TrainingDivergenceError(f"non-finite gradient in {name}")
     bias = 1.0 - beta1**t
     for name, theta in tensors.items():
-        g = grads[name]
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergenceError(f"non-finite gradient in {name}")
-        m = beta1 * state.m[name] + (1.0 - beta1) * g
-        u = np.maximum(beta2 * state.u[name], np.abs(g))
-        theta = theta - lr * m / (bias * (u + eps))
+        g, m, u = grads[name], state.m[name], state.u[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        u *= beta2
+        np.maximum(u, np.abs(g), out=u)
+        step = u + eps
+        step *= bias
+        np.divide(lr * m, step, out=step)
+        theta -= step
         if wd != 0.0:
-            theta = theta - lr * wd * theta
-        new_t[name] = theta
-        new_m[name] = m
-        new_u[name] = u
-    return new_t, AdamaxState(new_m, new_u)
+            theta -= lr * wd * theta
+    return tensors, state
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +201,11 @@ def _fit_epochs(
 ) -> Checkpoint:
     """Adamax on batch_loss(params, chunk) -> (loss, grads) over shuffled chunks of range(n).
 
-    Each epoch scores val_probs(params) against val_labels and appends one
-    JSON line to the optional log. Returns the checkpoint with the best
-    validation Top-1, earliest epoch on ties.
+    adamax_step updates params.tensors and the optimizer state in place, so
+    params must own writable arrays. Each epoch scores val_probs(params)
+    against val_labels and appends one JSON line to the optional log.
+    Returns the checkpoint with the best validation Top-1, earliest epoch on
+    ties, holding a copy of that epoch's weights.
     """
     state = AdamaxState.zeros(params.tensors)
     best: Optional[Checkpoint] = None
@@ -212,7 +219,7 @@ def _fit_epochs(
                 if not np.isfinite(loss):
                     raise TrainingDivergenceError(f"non-finite loss at epoch {epoch}")
                 step += 1
-                params.tensors, state = adamax_step(
+                adamax_step(
                     params.tensors, grads, state, step, config.learning_rate, config.weight_decay
                 )
                 losses.append(loss)
@@ -252,7 +259,8 @@ def train_model(
     loss_weights[1] * negative cosine similarity to the class word vector.
     Mixed precision: the master weights and the Adamax state stay float64.
     Each step casts the masters to float32 once, loss_and_grads runs on that
-    copy, and Adamax applies its float32 gradients to the masters.
+    copy, and Adamax applies its float32 gradients to the masters in place
+    (the masters are this function's own writable arrays).
     Validation scores the float32 cast, and the checkpoint holds the float32
     cast of the best weights: the bytes save_model writes and a loaded model
     serves. Checkpoint selection and the per-epoch log are _fit_epochs'.

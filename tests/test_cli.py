@@ -259,6 +259,29 @@ def test_malformed_checkpoint_header_exits_2(pipeline, tmp_path, capsys, source,
     assert str(bad) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["late.ckpt", "ens.ckpt"])
+def test_non_finite_checkpoint_weight_exits_2(pipeline, tmp_path, capsys, source):
+    raw = bytearray((pipeline["root"] / source).read_bytes())
+    (hlen,) = struct.unpack_from("<I", raw)
+    last = json.loads(raw[4 : 4 + hlen])["tensors"][-1]
+    struct.pack_into("<f", raw, 4 + hlen + last["offset"], float("nan"))
+    bad = tmp_path / source
+    bad.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=f"tensor {last['name']} holds a non-finite value"):
+        (load_ensemble if source == "ens.ckpt" else load_model)(bad)
+    rc = run(
+        "eval", "--data", pipeline["manifest"], "--model", bad,
+        "--split", "test", "--out", tmp_path / "m.json",
+    )
+    assert rc == 2
+    rc = run(
+        "decode", "--model", bad, "--sentences", pipeline["root"] / "sent",
+        "--out", tmp_path / "report.json",
+    )
+    assert rc == 2
+    assert str(bad) in capsys.readouterr().err
+
+
 def _patch_record(offset, fmt, value):
     """Edit that packs value at offset into the first record file of a dataset."""
 
