@@ -9,13 +9,7 @@ import math
 
 import numpy as np
 
-from signrec.ensemble_ga import (
-    Chromosome,
-    GAConfig,
-    decode_chromosome,
-    random_chromosome,
-    run_ga,
-)
+from signrec.ensemble_ga import Chromosome, GAConfig, random_chromosome, run_ga
 
 target = Chromosome((3, 400, 200, 100, 0, 0, 0, 0, 0))
 tgt = np.asarray(target.genes, dtype=float)
@@ -36,15 +30,15 @@ config = GAConfig(
 )
 best, history = run_ga(lambda c: math.exp(accuracy(c) / 2.5), config)
 
-print(f"target structure: {decode_chromosome(target)}")
+print(f"target structure: {list(target.widths)}")
 print(f"\n{'gen':>4}  {'best acc':>9}  best structure")
 for row in history:
     if row["generation"] % 5 and row["generation"] != 1:
         continue
     c = Chromosome(tuple(row["best_chromosome"]))
-    print(f"{row['generation']:>4}  {accuracy(c):>9.3f}  {decode_chromosome(c)}")
+    print(f"{row['generation']:>4}  {accuracy(c):>9.3f}  {list(c.widths)}")
 
-print(f"\nfound: {decode_chromosome(best)} (accuracy {accuracy(best):.3f})")
+print(f"\nfound: {list(best.widths)} (accuracy {accuracy(best):.3f})")
 
 rng = np.random.default_rng(99)
 baseline = max(accuracy(random_chromosome(rng)) for _ in range(20))

@@ -122,10 +122,9 @@ def _config(cls, doc: dict, section: str, args, **defaults):
     if "seed" in names and "seed" in doc:
         fields.setdefault("seed", doc["seed"])
     fields.update((n, getattr(args, n)) for n in names if getattr(args, n, None) is not None)
-    if "loss_weights" in fields:
-        fields["loss_weights"] = tuple(fields["loss_weights"])
-    if "stream_toggles" in fields:
-        fields["stream_toggles"] = tuple(bool(v) for v in fields["stream_toggles"])
+    for name in ("loss_weights", "stream_toggles"):
+        if isinstance(fields.get(name), list):
+            fields[name] = tuple(fields[name])
     try:
         return cls(**fields)
     except TypeError as exc:
@@ -205,7 +204,7 @@ def cmd_ga(args) -> None:
     _json_dump(
         {
             "chromosome": list(best.genes),
-            "widths": eg.decode_chromosome(best),
+            "widths": list(best.widths),
             "fitness": max(h["best_fitness"] for h in history),
         },
         args.out,

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .featurestore import FeatureSequence
+from .model import _check_types
 from .train import split_probabilities
 
 # Windows per model.probs call in decode_trace.
@@ -34,6 +35,7 @@ class DecodeConfig:
     threshold: float = 0.2
 
     def __post_init__(self):
+        _check_types(self)
         if self.window < 1 or self.step < 1:
             raise ConfigurationError("window and step must be >= 1")
         if not (0.0 < self.threshold < 1.0):

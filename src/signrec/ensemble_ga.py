@@ -22,6 +22,7 @@ from .errors import ConfigurationError, FormatError, InvalidChromosomeError, Sel
 from .featurestore import Dataset
 from .model import (
     ModelParams,
+    _check_types,
     check_tensors,
     config_from_json,
     init_tensors,
@@ -79,13 +80,6 @@ class Chromosome:
         return self.genes[1 : 1 + self.layer_count]
 
 
-def decode_chromosome(c) -> list[int]:
-    """Active layer widths, genes 1..L in order."""
-    if not isinstance(c, Chromosome):
-        c = Chromosome(tuple(c))
-    return list(c.widths)
-
-
 def random_chromosome(rng: np.random.Generator) -> Chromosome:
     layers = int(rng.integers(1, MAX_LAYERS + 1))
     genes = [layers] + [0] * (GENE_COUNT - 1)
@@ -105,6 +99,7 @@ class GAConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_types(self)
         if self.population_size < 2 or self.generations < 1:
             raise ConfigurationError("population_size >= 2 and generations >= 1 required")
         if not (1 <= self.parents_per_generation <= self.population_size):
@@ -332,15 +327,15 @@ class EnsembleClassifier:
     late: ModelParams
     head: EnsembleParams
 
-    def probs(self, A, B, C, mask, toggles=(True, True, True)) -> np.ndarray:
-        """(N,K) fused class probabilities; the toggles apply to both bases.
+    def probs(self, A, B, C, mask) -> np.ndarray:
+        """(N,K) fused class probabilities.
 
         The head runs one row at a time, as ensemble_forward does: a 2-D GEMM's
         per-row sums depend on how many rows share it, so a row gives the same
         bits in any batch. Head training keeps the whole-batch GEMM.
         """
-        pe = self.early.probs(A, B, C, mask, toggles)
-        pl = self.late.probs(A, B, C, mask, toggles)
+        pe = self.early.probs(A, B, C, mask)
+        pl = self.late.probs(A, B, C, mask)
         x = np.concatenate([pe, pl], axis=1)
         return np.concatenate([_head_forward(self.head, x[i : i + 1])[0] for i in range(len(x))])
 

@@ -6,9 +6,11 @@ gives float64 master weights; the training loop casts them to float32 for each
 step's pass and applies the float32 gradients to the float64 masters. The
 gradient checks call loss_and_grads on the float64 weights directly, so they
 stay in float64. load_checkpoint gives float32, so loaded models serve in
-float32, as freshly trained ones do. forward_batch runs either architecture over
-(N,T,dim) stream arrays; loss_and_grads adds the combined loss and the full
-analytic backward pass used by the training loop. Gradients are written by
+float32, as freshly trained ones do. forward_batch is the one inference pass
+over (N,T,dim) stream arrays; loss_and_grads is the one training pass: the same
+forward, with dropout when it is given an rng, then the combined loss and the
+full analytic backward pass. Stream ablation happens before either, where
+preprocess.stack_batches stacks a batch. Gradients are written by
 hand and validated against central finite differences in the test suite.
 
 Architecture, shared by both fusion variants:
@@ -62,18 +64,33 @@ _BLOCK_CELLS = 128
 # Configuration
 
 
-def _check_ints(config) -> None:
-    """ConfigurationError unless every int-annotated field of config holds an integer.
+def _is_a(v, kind: str) -> bool:
+    """Whether v is a value of type kind, "int", "float" or "bool"; bool is no number here."""
+    if isinstance(v, (bool, np.bool_)):
+        return kind == "bool"
+    if isinstance(v, (int, np.integer)):
+        return kind in ("int", "float")
+    return kind == "float" and isinstance(v, (float, np.floating)) and math.isfinite(v)
 
-    A checkpoint header is JSON, so a size, head or block count can arrive as
-    1.5 (or true); the shape code needs real integers. The two model configs
-    run it on every field their EncoderConfigs are built from, so encoders(),
-    called on every forward, does not repeat it.
+
+def _check_types(config) -> None:
+    """ConfigurationError unless every field of a config dataclass holds its annotated type.
+
+    Configs come from JSON (checkpoint headers, run configs), so a count can
+    arrive as 1.5 or true, a rate as "x", a stream toggle as "false". A field
+    is an int, a float, or a tuple of ints, floats or bools; bool is no number
+    and a float must be finite. The model configs check every field their
+    EncoderConfigs are built from, so encoders() need not repeat it.
     """
     for f in dataclasses.fields(config):
         v = getattr(config, f.name)
-        if f.type in ("int", int) and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
-            raise ConfigurationError(f"{f.name} must be an integer, got {v!r}")
+        if f.type.startswith("tuple["):  # annotations are strings under postponed evaluation
+            kinds = f.type[len("tuple[") : -1].split(", ")
+            ok = isinstance(v, (tuple, list)) and len(v) == len(kinds) and all(map(_is_a, v, kinds))
+        else:
+            ok = _is_a(v, f.type)
+        if not ok:
+            raise ConfigurationError(f"{f.name} must be {f.type}, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -113,7 +130,7 @@ class LateFusionConfig:
     arch = "late"
 
     def __post_init__(self):
-        _check_ints(self)
+        _check_types(self)
         if self.num_classes < 2:
             raise ConfigurationError("need at least 2 classes")
         self.encoders()  # constructing them runs the divisibility checks
@@ -146,7 +163,7 @@ class EarlyFusionConfig:
     arch = "early"
 
     def __post_init__(self):
-        _check_ints(self)
+        _check_types(self)
         if self.num_classes < 2:
             raise ConfigurationError("need at least 2 classes")
         self.encoders()
@@ -187,9 +204,9 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
 
-    def probs(self, A, B, C, mask, toggles=(True, True, True)) -> np.ndarray:
+    def probs(self, A, B, C, mask) -> np.ndarray:
         """(N,K) class probabilities of (N,T,dim) streams under an (N,T) mask."""
-        return forward_batch(self, A, B, C, mask, toggles=toggles)[0]
+        return forward_batch(self, A, B, C, mask)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +356,8 @@ def _mask_bias(mask: np.ndarray, dtype) -> np.ndarray:
     return np.where(mask[:, None, None, :], 0.0, _MASK_BIAS).astype(dtype, copy=False)
 
 
-def _attn_forward(X, bias, w, prefix, heads, dropout, rng, train):
-    """Multi-head attention with key masking by bias. Returns (out, cache)."""
+def _attn_forward(X, bias, w, prefix, heads, dropout, rng):
+    """Multi-head attention with key masking by bias, dropout if rng. Returns (out, cache)."""
     q = _split_heads(_affine(X, w[f"{prefix}.Wq"], w[f"{prefix}.bq"]), heads)
     k = _split_heads(_affine(X, w[f"{prefix}.Wk"], w[f"{prefix}.bk"]), heads)
     v = _split_heads(_affine(X, w[f"{prefix}.Wv"], w[f"{prefix}.bv"]), heads)
@@ -353,7 +370,7 @@ def _attn_forward(X, bias, w, prefix, heads, dropout, rng, train):
     p /= p.sum(-1, keepdims=True)  # masked keys get exactly zero weight
     keep = c = None
     pd = p
-    if train and dropout > 0.0:
+    if rng is not None and dropout > 0.0:
         c = 1.0 / (1.0 - dropout)
         pd = rng.random(p.shape, dtype=p.dtype)
         keep = pd >= dropout
@@ -396,17 +413,15 @@ def _attn_backward(dout, cache, w, prefix, heads, grads):
     return dX
 
 
-def _block_forward(X, mask, bias, w, prefix, enc: EncoderConfig, rng, train):
+def _block_forward(X, mask, bias, w, prefix, enc: EncoderConfig, rng):
     """One post-norm encoder block; masked rows are zeroed on output."""
-    s, attn_cache = _attn_forward(
-        X, bias, w, f"{prefix}.attn", enc.heads, enc.dropout_rate, rng, train
-    )
+    s, attn_cache = _attn_forward(X, bias, w, f"{prefix}.attn", enc.heads, enc.dropout_rate, rng)
     s += X
     h, ln1_cache = _ln_forward(s, w[f"{prefix}.ln1.g"], w[f"{prefix}.ln1.b"])
     rd = _affine(h, w[f"{prefix}.ffn.W1"], w[f"{prefix}.ffn.b1"])
     np.maximum(rd, 0.0, out=rd)
     c = None
-    if train and enc.dropout_rate > 0.0:
+    if rng is not None and enc.dropout_rate > 0.0:
         rd *= rng.random(rd.shape, dtype=rd.dtype) >= enc.dropout_rate
         c = 1.0 / (1.0 - enc.dropout_rate)
         rd *= c
@@ -441,13 +456,13 @@ def _block_backward(dy, cache, w, prefix, enc: EncoderConfig, grads):
     return dx
 
 
-def _encoder_forward(Z, mask, w, name, enc: EncoderConfig, rng, train):
+def _encoder_forward(Z, mask, w, name, enc: EncoderConfig, rng):
     """Block stack plus the additive skip from Z; masked rows zeroed."""
     bias = _mask_bias(mask, Z.dtype)
     cur = Z
     caches = []
     for i in range(enc.blocks):
-        cur, c = _block_forward(cur, mask, bias, w, f"{name}.{i}", enc, rng, train)
+        cur, c = _block_forward(cur, mask, bias, w, f"{name}.{i}", enc, rng)
         caches.append(c)
     cur += Z  # the last block's output is cached nowhere
     cur *= mask[:, :, None]
@@ -480,52 +495,36 @@ def _check_streams(params: ModelParams, A, B, C, mask):
 
 
 def forward_batch(
-    params: ModelParams,
-    A: np.ndarray,
-    B: np.ndarray,
-    C: np.ndarray,
-    mask: np.ndarray,
-    train: bool = False,
-    rng: Optional[np.random.Generator] = None,
-    toggles: tuple[bool, bool, bool] = (True, True, True),
-    need_cache: bool = False,
+    params: ModelParams, A: np.ndarray, B: np.ndarray, C: np.ndarray, mask: np.ndarray
 ):
-    """Batched forward pass for either architecture.
+    """Inference pass for either architecture: (class_probs (N,K), embedding_pred (N,embed_dim)).
 
     A/B/C are (N,T,dim) stream arrays, mask is (N,T) bool with at least one
-    true entry per row. Returns (class_probs (N,K), embedding_pred
-    (N,embed_dim), cache or None). Stream toggles zero out excluded streams
-    before projection (ablations).
+    true entry per row. No dropout runs; loss_and_grads is the training pass.
 
-    Inference (train and need_cache both false) runs over blocks of
-    max(1, 128 // T) consecutive rows and concatenates the outputs. Every
-    matmul runs one row at a time, so a row's outputs are the same bit for bit
-    whatever batch or block it shares. The blocks keep each pass's
-    temporaries small enough that the allocator reuses them instead of
-    returning them to the kernel and faulting them in again on the next call
-    (on a 2-vCPU machine at T=40, a row cost about 30% more in one pass of 32
-    rows than in blocks of 3). Training and cached passes run the whole batch
-    at once.
+    The batch runs in blocks of max(1, 128 // T) consecutive rows and the
+    outputs are concatenated. Every matmul runs one row at a time, so a row's
+    outputs are the same bit for bit whatever batch or block it shares. The
+    blocks keep each pass's temporaries small enough that the allocator reuses
+    them instead of returning them to the kernel and faulting them in again on
+    the next call (on a 2-vCPU machine at T=40, a row cost about 30% more in
+    one pass of 32 rows than in blocks of 3).
     """
     _check_streams(params, A, B, C, mask)
-    if train and params.config.dropout_rate > 0.0 and rng is None:
-        raise ConfigurationError("training-mode forward with dropout needs an rng")
-    A, B, C = (x if on else np.zeros_like(x) for x, on in zip((A, B, C), toggles))
     n, T = A.shape[:2]
     rows = max(1, _BLOCK_CELLS // max(T, 1))
-    if train or need_cache or n <= rows:
-        return _forward(params, A, B, C, mask, train, rng, need_cache)
+    if n <= rows:
+        return _forward(params, A, B, C, mask)[:2]
+    # [:2] frees each block's cache before the next block runs
     blocks = [
-        _forward(params, A[i : i + rows], B[i : i + rows], C[i : i + rows], mask[i : i + rows])
+        _forward(params, A[i : i + rows], B[i : i + rows], C[i : i + rows], mask[i : i + rows])[:2]
         for i in range(0, n, rows)
     ]
-    probs = np.concatenate([p for p, _, _ in blocks])
-    emb = np.concatenate([e for _, e, _ in blocks])
-    return probs, emb, None
+    return np.concatenate([p for p, _ in blocks]), np.concatenate([e for _, e in blocks])
 
 
-def _forward(params, A, B, C, mask, train=False, rng=None, need_cache=False):
-    """forward_batch's pass over the whole batch, with no checks or toggles."""
+def _forward(params, A, B, C, mask, rng=None):
+    """(probs, emb, cache) of one unchecked pass over the whole batch; dropout when rng is given."""
     w = params.tensors
     dt = w["head.cls.W"].dtype
     streams = [x.astype(dt, copy=False) for x in (A, B, C)]
@@ -538,12 +537,12 @@ def _forward(params, A, B, C, mask, train=False, rng=None, need_cache=False):
         cache[f"x.{name}"] = x
         z = _affine(x, w[f"{name}.proj.W"], w[f"{name}.proj.b"])
         z += positional_encoding(T, enc.d_model)
-        out, cache[f"enc.{name}"] = _encoder_forward(z, mask, w, name, enc, rng, train)
+        out, cache[f"enc.{name}"] = _encoder_forward(z, mask, w, name, enc, rng)
         outs.append(out)
     enc_out = outs[0]
     if fused is not None:
         zf = np.concatenate(outs, axis=-1)
-        enc_out, cache["enc.f"] = _encoder_forward(zf, mask, w, "f", fused, rng, train)
+        enc_out, cache["enc.f"] = _encoder_forward(zf, mask, w, "f", fused, rng)
 
     nreal = mask.sum(1).astype(enc_out.dtype)
     pooled = enc_out.sum(1) / nreal[:, None]  # masked rows are exactly zero
@@ -554,14 +553,12 @@ def _forward(params, A, B, C, mask, train=False, rng=None, need_cache=False):
     e = np.exp(shifted)
     probs = e / e.sum(-1, keepdims=True)
     emb = (pooled[:, None, :] @ w["head.emb.W"])[:, 0] + w["head.emb.b"]
-    if need_cache:
-        cache.update(pooled=pooled, probs=probs, nreal=nreal)
-        return probs, emb, cache
-    return probs, emb, None
+    cache.update(pooled=pooled, probs=probs, nreal=nreal)
+    return probs, emb, cache
 
 
 def _backward_batch(params: ModelParams, cache, dprobs, demb):
-    """Backward through forward_batch given dL/dprobs and dL/demb."""
+    """Backward through the cache of a _forward pass given dL/dprobs and dL/demb."""
     w = params.tensors
     grads: dict[str, np.ndarray] = {}
     probs, pooled, mask, nreal = cache["probs"], cache["pooled"], cache["mask"], cache["nreal"]
@@ -634,19 +631,18 @@ def loss_and_grads(
     target_emb: np.ndarray,
     class_weight: float = CLASS_LOSS_WEIGHT,
     embed_weight: float = EMBED_LOSS_WEIGHT,
-    train: bool = False,
     rng: Optional[np.random.Generator] = None,
-    toggles: tuple[bool, bool, bool] = (True, True, True),
 ):
-    """Mean combined loss over a batch plus gradients for every tensor.
+    """Training pass: mean combined loss over a batch plus gradients for every tensor.
 
     targets are already-smoothed class distributions (N,K); target_emb is
     (N,embed_dim) with nonzero rows. Returns (loss, grads, class_probs).
+    Dropout runs when rng is given; without one the class probabilities have
+    the same bits as forward_batch's. The batch runs in one pass.
     """
+    _check_streams(params, A, B, C, mask)
     n = A.shape[0]
-    probs, emb, cache = forward_batch(
-        params, A, B, C, mask, train=train, rng=rng, toggles=toggles, need_cache=True
-    )
+    probs, emb, cache = _forward(params, A, B, C, mask, rng)
     tn = np.linalg.norm(target_emb, axis=1)
     if np.any(tn == 0.0):
         raise DegenerateInputError("target embedding has zero norm")

@@ -119,13 +119,18 @@ def assemble_streams(
 
 
 def stack_batches(
-    batches: Sequence[StreamBatch],
+    batches: Sequence[StreamBatch], toggles: tuple[bool, bool, bool] = (True, True, True)
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stack per-record StreamBatches into (B,T,d) arrays plus a (B,T) mask."""
+    """Stack per-record StreamBatches into (B,T,d) arrays plus a (B,T) mask.
+
+    A stream whose toggle is false comes back as zeros of its shape and
+    dtype: the stream ablation, applied here for every model and for training.
+    """
     if not batches:
         raise ValueError("cannot stack zero batches")
-    a = np.stack([sb.stream_a for sb in batches])
-    b = np.stack([sb.stream_b for sb in batches])
-    c = np.stack([sb.stream_c for sb in batches])
-    m = np.stack([sb.mask for sb in batches])
-    return a, b, c, m
+    streams = ([getattr(sb, f"stream_{s}") for sb in batches] for s in "abc")
+    a, b, c = (
+        np.stack(xs) if on else np.zeros((len(xs), *xs[0].shape), np.result_type(*xs))
+        for xs, on in zip(streams, toggles)
+    )
+    return a, b, c, np.stack([sb.mask for sb in batches])

@@ -24,6 +24,7 @@ from .model import (
     _ARCH_CONFIGS,
     ModelConfig,
     ModelParams,
+    _check_types,
     init_params,
     label_smooth,
     loss_and_grads,
@@ -47,12 +48,11 @@ class TrainConfig:
     sequence_length: int = DEFAULT_T
 
     def __post_init__(self):
+        _check_types(self)
         if self.learning_rate <= 0.0:
             raise ConfigurationError("learning_rate must be positive")
         if self.epochs < 1 or self.batch_size < 1 or self.sequence_length < 1:
             raise ConfigurationError("epochs, batch_size and sequence_length must be >= 1")
-        if len(self.stream_toggles) != 3:
-            raise ConfigurationError("stream_toggles must have exactly three entries")
         if not any(self.stream_toggles):
             raise ConfigurationError("at least one stream must stay enabled")
 
@@ -129,7 +129,8 @@ def adamax_step(
 
 # ---------------------------------------------------------------------------
 # Prediction over record lists. A model is anything with a batched
-# probs(A, B, C, mask, toggles) -> (N,K) method: ModelParams or EnsembleClassifier.
+# probs(A, B, C, mask) -> (N,K) method: ModelParams or EnsembleClassifier.
+# Stream toggles zero the switched-off streams where stack_batches stacks a batch.
 
 
 def split_probabilities(
@@ -150,8 +151,9 @@ def split_probabilities(
     return np.concatenate(
         [
             model.probs(
-                *stack_batches([assemble_streams(r, T, rng) for r in records[i : i + batch_size]]),
-                toggles,
+                *stack_batches(
+                    [assemble_streams(r, T, rng) for r in records[i : i + batch_size]], toggles
+                )
             )
             for i in range(0, len(records), batch_size)
         ]
@@ -289,12 +291,11 @@ def train_model(
 
     def batch_loss(params, chunk):
         sbs = [assemble_streams(train_recs[j], T, augment_rng) for j in chunk]
-        a, b, c, m = stack_batches(sbs)
+        a, b, c, m = stack_batches(sbs, config.stream_toggles)
         targets = label_smooth(eye[labels[chunk]], config.label_smoothing)
         return loss_and_grads(
             _float32(params), a, b, c, m, targets, emb[labels[chunk]],
-            class_weight=cw, embed_weight=ew,
-            train=True, rng=dropout_rng, toggles=config.stream_toggles,
+            class_weight=cw, embed_weight=ew, rng=dropout_rng,
         )[:2]
 
     def val_probs(params):

@@ -73,5 +73,5 @@ class RowwiseModel:
     def __init__(self, fn):
         self.fn = fn
 
-    def probs(self, A, B, C, mask, toggles=(True, True, True)):
+    def probs(self, A, B, C, mask):
         return np.stack([self.fn(StreamBatch(*row)) for row in zip(A, B, C, mask)])

@@ -175,12 +175,12 @@ def test_criterion_3_masking_invariance(verdict):
             for dim in (126, 120, 14):
                 s = rng.normal(size=(n, T, dim)) * mask[..., None]
                 streams.append(s)
-            p1, e1, _ = forward_batch(params, *streams, mask)
+            p1, e1 = forward_batch(params, *streams, mask)
             padded = [
                 np.concatenate([s, np.zeros((n, pad, s.shape[2]))], axis=1) for s in streams
             ]
             mask2 = np.concatenate([mask, np.zeros((n, pad), dtype=bool)], axis=1)
-            p2, e2, _ = forward_batch(params, *padded, mask2)
+            p2, e2 = forward_batch(params, *padded, mask2)
             worst = max(worst, float(np.abs(p1 - p2).max()), float(np.abs(e1 - e2).max()))
     elapsed = time.perf_counter() - t0
     verdict(

@@ -198,6 +198,47 @@ def test_unknown_nested_config_key(pipeline, tmp_path, capsys):
     assert "learning_rat" in capsys.readouterr().err
 
 
+def _command(section, root, manifest, out):
+    if section == "ga":
+        return ("ga", "--data", manifest, "--early", root / "early.ckpt",
+                "--late", root / "late.ckpt", "--out", out)
+    if section == "decode":
+        return ("decode", "--model", root / "late.ckpt", "--sentences", root / "sent", "--out", out)
+    return ("train", "--data", manifest, "--arch", "late", "--out", out)
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("train", "epochs", 1.5),
+        ("train", "batch_size", 2.5),
+        ("train", "sequence_length", 10.5),
+        ("train", "weight_decay", "x"),
+        ("train", "label_smoothing", "x"),
+        ("train", "loss_weights", ["a", 0.5]),
+        ("train", "loss_weights", 0.5),
+        ("train", "epochs", True),
+        ("train", "learning_rate", True),
+        ("train", "stream_toggles", ["false", "false", True]),
+        (None, "seed", 1.5),
+        ("decode", "window", 40.5),
+        ("decode", "step", 2.5),
+        ("ga", "generations", 1.5),
+        ("ga", "population_size", 2.5),
+        ("ga", "parents_per_generation", 1.5),
+        ("ga", "seed", 0.5),
+    ],
+)
+def test_malformed_config_field_exits_1(pipeline, tmp_path, capsys, section, key, value):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({key: value} if section is None else {section: {key: value}}))
+    argv = _command(section, pipeline["root"], pipeline["manifest"], tmp_path / "out")
+    assert run(*argv, "--config", cfg) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert key in err
+
+
 def test_missing_dataset_exits_2(pipeline, tmp_path):
     rc = run(
         "eval", "--data", tmp_path / "nope" / "manifest.json",

@@ -226,7 +226,7 @@ class CountingModel:
     def __init__(self):
         self.calls = []
 
-    def probs(self, A, B, C, mask, toggles=(True, True, True)):
+    def probs(self, A, B, C, mask):
         self.calls.append(A[:, 0, 0].copy())
         return np.tile(dist(5, 3, 0.9), (len(A), 1))
 

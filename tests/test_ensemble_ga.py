@@ -15,7 +15,6 @@ from signrec.ensemble_ga import (
     EnsembleClassifier,
     EnsembleParams,
     GAConfig,
-    decode_chromosome,
     ensemble_forward,
     ensemble_train_config,
     fitness,
@@ -46,10 +45,10 @@ def chrom(*genes):
 
 
 def test_decode_chromosome():
-    assert decode_chromosome(chrom(6, 310, 693, 465, 638, 513, 406)) == [
+    assert list(chrom(6, 310, 693, 465, 638, 513, 406).widths) == [
         310, 693, 465, 638, 513, 406,
     ]
-    assert decode_chromosome(chrom(1, 5)) == [5]
+    assert list(chrom(1, 5).widths) == [5]
 
 
 def test_chromosome_validation():

@@ -35,9 +35,11 @@ from signrec.model import (
     _attn_forward,
     _backward_batch,
     _block_forward,
+    _forward,
     _ln_forward,
     _mask_bias,
 )
+from signrec.preprocess import StreamBatch, stack_batches
 from conftest import random_stream_batch
 
 
@@ -126,7 +128,7 @@ def attention(x, mask, weights, heads):
     """_attn_forward in evaluation mode on one (T,d) sequence."""
     w = {f"attn.{k}": v for k, v in weights.items()}
     bias = _mask_bias(mask[None], x.dtype)
-    out, _ = _attn_forward(x[None], bias, w, "attn", heads, 0.0, None, False)
+    out, _ = _attn_forward(x[None], bias, w, "attn", heads, 0.0, None)
     return out[0]
 
 
@@ -201,7 +203,7 @@ def encoder_block(x, mask, params, heads):
     w = {f"blk.{k}": v for k, v in params.items()}
     enc = EncoderConfig(x.shape[1], params["ffn.W1"].shape[1], heads, 1, 0.0)
     bias = _mask_bias(mask[None], x.dtype)
-    out, _ = _block_forward(x[None], mask[None], bias, w, "blk", enc, None, False)
+    out, _ = _block_forward(x[None], mask[None], bias, w, "blk", enc, None)
     return out[0]
 
 
@@ -254,7 +256,7 @@ def test_forward_outputs_on_simplex(tiny_late_config, tiny_early_config):
     a, b, c, mask = random_stream_batch(rng, n=3, T=8, pad=2)
     for cfg in (tiny_late_config, tiny_early_config):
         params = init_params(cfg, np.random.default_rng(0))
-        probs, emb, _ = forward_batch(params, a, b, c, mask)
+        probs, emb = forward_batch(params, a, b, c, mask)
         assert probs.shape == (3, 4) and emb.shape == (3, 300)
         assert (probs >= 0).all()
         npt.assert_allclose(probs.sum(-1), 1.0, atol=1e-6)
@@ -265,10 +267,10 @@ def test_forward_masking_invariance(tiny_late_config, tiny_early_config):
     for cfg in (tiny_late_config, tiny_early_config):
         params = init_params(cfg, np.random.default_rng(1))
         a, b, c, mask = random_stream_batch(rng, n=2, T=10, pad=3)
-        p1, e1, _ = forward_batch(params, a, b, c, mask)
+        p1, e1 = forward_batch(params, a, b, c, mask)
         # same real rows, four more rows of masked padding
         grow = lambda x: np.concatenate([x, np.zeros((2, 4) + x.shape[2:], x.dtype)], axis=1)
-        p2, e2, _ = forward_batch(params, grow(a), grow(b), grow(c), grow(mask).astype(bool))
+        p2, e2 = forward_batch(params, grow(a), grow(b), grow(c), grow(mask).astype(bool))
         assert np.abs(p1 - p2).max() < 1e-5
         assert np.abs(e1 - e2).max() < 1e-5
 
@@ -286,23 +288,24 @@ def test_inference_blocks_match_row_by_row(tiny_late_config, tiny_early_config):
         for cfg in (tiny_late_config, tiny_early_config, *full):
             params = init_params(cfg, np.random.default_rng(7))
             params = ModelParams(cfg, {k: v.astype(dtype) for k, v in params.tensors.items()})
-            probs, emb, _ = forward_batch(params, a, b, c, mask)
+            probs, emb = forward_batch(params, a, b, c, mask)
             assert probs.dtype == emb.dtype == dtype
             for i in range(len(mask)):
                 row = slice(i, i + 1)
-                p_i, e_i, _ = forward_batch(params, a[row], b[row], c[row], mask[row])
+                p_i, e_i = forward_batch(params, a[row], b[row], c[row], mask[row])
                 assert_same_bits((probs[row], emb[row]), (p_i, e_i))
 
 
 def test_forward_train_dropout(tiny_late_config):
+    # dropout runs in the training pass exactly when it is given an rng
     rng = np.random.default_rng(10)
     a, b, c, mask = random_stream_batch(rng, n=2, T=6, pad=1)
+    targets = label_smooth(np.eye(4)[[0, 3]])
+    temb = rng.standard_normal((2, 300))
     params = init_params(tiny_late_config, np.random.default_rng(2))
-    with pytest.raises(ConfigurationError):
-        forward_batch(params, a, b, c, mask, train=True)
-    p_eval, _, _ = forward_batch(params, a, b, c, mask)
-    p_train, _, _ = forward_batch(
-        params, a, b, c, mask, train=True, rng=np.random.default_rng(3)
+    p_eval, _ = forward_batch(params, a, b, c, mask)
+    _, _, p_train = loss_and_grads(
+        params, a, b, c, mask, targets, temb, rng=np.random.default_rng(3)
     )
     assert np.abs(p_eval - p_train).max() > 0  # dropout actually fires
 
@@ -311,9 +314,13 @@ def test_stream_toggles_zero_streams(tiny_late_config):
     rng = np.random.default_rng(11)
     a, b, c, mask = random_stream_batch(rng, n=2, T=6, pad=0)
     params = init_params(tiny_late_config, np.random.default_rng(4))
-    p_zero_b, _, _ = forward_batch(params, a, np.zeros_like(b), c, mask)
-    p_toggled, _, _ = forward_batch(params, a, b, c, mask, toggles=(True, False, True))
-    npt.assert_allclose(p_toggled, p_zero_b, rtol=1e-12)
+    ta, tb, tc, tm = stack_batches(
+        [StreamBatch(*row) for row in zip(a, b, c, mask)], toggles=(True, False, True)
+    )
+    assert_same_bits((ta, tb, tc, tm), (a, np.zeros_like(b), c, mask))
+    p_zero_b, _ = forward_batch(params, a, np.zeros_like(b), c, mask)
+    p_toggled, _ = forward_batch(params, ta, tb, tc, tm)
+    assert_same_bits(p_toggled, p_zero_b)
 
 
 def test_config_validation_and_json_roundtrip(tiny_late_config, tiny_early_config):
@@ -606,7 +613,7 @@ def test_training_pass_matches_allocating_oracle(arch, blocks, tiny_late_config,
     inputs = (a, b, c, mask, targets, temb)
     before = snapshot((inputs, params.tensors))
 
-    loss, grads, probs = loss_and_grads(params, *inputs, train=True, rng=np.random.default_rng(5))
+    loss, grads, probs = loss_and_grads(params, *inputs, rng=np.random.default_rng(5))
     want_loss, want_grads, want_probs, want_emb = ref_loss_and_grads(
         params, *inputs, rng=np.random.default_rng(5)
     )
@@ -618,12 +625,10 @@ def test_training_pass_matches_allocating_oracle(arch, blocks, tiny_late_config,
 
     # the cached training forward gives the same embeddings, and neither a
     # later pass nor a backward through the cache writes to it
-    p, emb, cache = forward_batch(
-        params, a, b, c, mask, train=True, rng=np.random.default_rng(5), need_cache=True
-    )
+    p, emb, cache = _forward(params, a, b, c, mask, np.random.default_rng(5))
     assert_same_bits((p, emb), (want_probs, want_emb))
     kept = snapshot(cache)
-    loss_and_grads(params, *inputs, train=True, rng=np.random.default_rng(6))
+    loss_and_grads(params, *inputs, rng=np.random.default_rng(6))
     _backward_batch(params, cache, np.ones_like(p), np.ones_like(emb))
     assert_same_bits(cache, kept)
     assert_same_bits((inputs, params.tensors), before)
@@ -641,12 +646,32 @@ def test_inference_matches_allocating_oracle(arch):
     rows = 128 // T  # forward_batch's inference block
     for n in (1, 32):
         streams = [x[:n] for x in (a, b, c, mask)]
-        probs, emb, cache = forward_batch(params, *streams)
-        assert cache is None
+        probs, emb = forward_batch(params, *streams)
         want = [ref_forward(params, *(x[i : i + rows] for x in streams)) for i in range(0, n, rows)]
         assert_same_bits(probs, np.concatenate([p for p, _, _ in want]))
         assert_same_bits(emb, np.concatenate([e for _, e, _ in want]))
     assert_same_bits(((a, b, c, mask), params.tensors), before)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("arch", ["late", "early"])
+def test_training_pass_without_rng_matches_inference(arch, dtype):
+    # forward_batch runs blocks of 128 // T = 3 rows at T=40, loss_and_grads
+    # one pass over the whole batch. Without an rng no dropout runs, and the
+    # two entries give the same bits at every batch size.
+    cfg = LateFusionConfig(num_classes=5) if arch == "late" else EarlyFusionConfig(num_classes=5)
+    rng = np.random.default_rng(25)
+    params = init_params(cfg, rng)
+    params = ModelParams(cfg, {k: v.astype(dtype) for k, v in params.tensors.items()})
+    T = 40
+    a, b, c, mask = padded_batch(rng, rng.integers(1, T + 1, size=32), T)
+    targets = label_smooth(np.eye(5)[rng.integers(5, size=32)])
+    temb = rng.standard_normal((32, 300))
+    for n in (1, 5, 32):
+        streams = [x[:n] for x in (a, b, c, mask)]
+        want, _ = forward_batch(params, *streams)
+        _, _, got = loss_and_grads(params, *streams, targets[:n], temb[:n])
+        assert_same_bits(got, want)
 
 
 def test_float32_params_and_streams_give_float32_outputs(tiny_late_config, tiny_early_config):
@@ -659,15 +684,15 @@ def test_float32_params_and_streams_give_float32_outputs(tiny_late_config, tiny_
         params32 = ModelParams(cfg, {k: v.astype(np.float32) for k, v in params.tensors.items()})
         params64 = ModelParams(cfg, {k: v.astype(np.float64) for k, v in params32.tensors.items()})
         # reference: the same float32 values, computed in float64
-        want_p, want_e, _ = forward_batch(params64, *f64, mask)
+        want_p, want_e = forward_batch(params64, *f64, mask)
         assert want_p.dtype == want_e.dtype == np.float64
         for n in (1, 7):  # one pass, and three inference blocks
-            probs, emb, _ = forward_batch(params32, *(x[:n] for x in f32), mask[:n])
+            probs, emb = forward_batch(params32, *(x[:n] for x in f32), mask[:n])
             assert probs.dtype == np.float32 and emb.dtype == np.float32
             npt.assert_allclose(probs, want_p[:n], atol=1e-5)
             npt.assert_allclose(emb, want_e[:n], rtol=1e-4, atol=1e-5)
             # float64 streams are cast to the params' float32 on entry
-            p64in, e64in, _ = forward_batch(params32, *(x[:n] for x in f64), mask[:n])
+            p64in, e64in = forward_batch(params32, *(x[:n] for x in f64), mask[:n])
             assert_same_bits((p64in, e64in), (probs, emb))
 
 
@@ -690,8 +715,7 @@ def test_float32_training_pass_stays_float32_and_near_float64(tiny_late_config, 
         t32 = {k: v.astype(np.float32) for k, v in params.tensors.items()}
         # with dropout on, the draws and every gradient stay float32
         _, grads, probs = loss_and_grads(
-            ModelParams(base, t32), a, b, c, mask, targets, temb,
-            train=True, rng=np.random.default_rng(5),
+            ModelParams(base, t32), a, b, c, mask, targets, temb, rng=np.random.default_rng(5),
         )
         assert probs.dtype == np.float32
         assert all(g.dtype == np.float32 for g in grads.values())

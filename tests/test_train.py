@@ -9,7 +9,7 @@ import pytest
 
 from signrec.errors import ConfigurationError, TrainingDivergenceError
 from signrec.model import init_params, label_smooth, load_model, loss_and_grads, save_model
-from signrec.preprocess import assemble_streams, stack_batches
+from signrec.preprocess import StreamBatch, assemble_streams, stack_batches
 from signrec.train import (
     EVAL_SEED,
     AdamaxState,
@@ -164,6 +164,8 @@ def test_train_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ConfigurationError):
         TrainConfig(stream_toggles=(False, False, False))
+    with pytest.raises(ConfigurationError):
+        TrainConfig(stream_toggles=(True, False))
     with pytest.raises(ConfigurationError):
         Checkpoint(None, 1, val_top1=1.5, val_top5=1.0)
 
@@ -330,9 +332,10 @@ def test_stream_toggle_zeroes_projection_gradients(tiny_late_config):
     a, b, c, mask = random_stream_batch(rng, n=3, T=6, pad=1)
     targets = label_smooth(np.eye(4)[0]) * np.ones((3, 1))
     temb = rng.standard_normal((3, 300))
-    _, grads, _ = loss_and_grads(
-        params, a, b, c, mask, targets, temb, toggles=(True, False, True)
+    a, b, c, mask = stack_batches(
+        [StreamBatch(*row) for row in zip(a, b, c, mask)], toggles=(True, False, True)
     )
+    _, grads, _ = loss_and_grads(params, a, b, c, mask, targets, temb)
     npt.assert_array_equal(grads["b.proj.W"], 0.0)
     assert np.abs(grads["a.proj.W"]).max() > 0
     assert np.abs(grads["c.proj.W"]).max() > 0
@@ -434,7 +437,7 @@ def ref_split_probabilities(model, records, T, batch_size=32, toggles=(True, Tru
     batches = [assemble_streams(r, T, rng) for r in records]
     return np.concatenate(
         [
-            model.probs(*stack_batches(batches[i : i + batch_size]), toggles)
+            model.probs(*stack_batches(batches[i : i + batch_size], toggles))
             for i in range(0, len(batches), batch_size)
         ]
     )
