@@ -286,6 +286,8 @@ class EmbeddingTable:
                 )
             if not (0 <= i < n):
                 raise FormatError(f"{path}: embedding class id {i} outside 0..{n - 1}")
+            if i in seen:
+                raise FormatError(f"{path}: embedding class id {i} appears twice")
             vectors[i] = vec
             seen.add(i)
         if len(seen) != n:

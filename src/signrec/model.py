@@ -31,7 +31,11 @@ positional table or a cache it has returned. Three private helpers overwrite
 an argument their caller hands over: _ln_forward turns x into the normalized
 x-hat its cache keeps, _ln_backward turns dy into the input gradient, and
 _encoder_backward masks dout in place. Every other helper only reads its
-arguments and returns fresh arrays.
+arguments and returns fresh arrays. The backward consumes the cache it is
+handed: the forward keeps its caches in dicts and lists, and the backward
+pops each array at its last use and drops each of its own temporaries there
+too, so a step holds only what the rest of the backward still needs. It
+writes none of the cached arrays, and leaves every cache container empty.
 """
 
 from __future__ import annotations
@@ -378,37 +382,49 @@ def _attn_forward(X, bias, w, prefix, heads, dropout, rng):
         pd *= c
     ctx = _merge_heads(pd @ v)
     out = _affine(ctx, w[f"{prefix}.Wo"], w[f"{prefix}.bo"])
-    return out, (X, q, k, v, p, keep, c, ctx, scale)
+    return out, dict(X=X, q=q, k=k, v=v, p=p, keep=keep, c=c, ctx=ctx, scale=scale)
 
 
 def _attn_backward(dout, cache, w, prefix, heads, grads):
-    X, q, k, v, p, keep, c, ctx, scale = cache
-    grads[f"{prefix}.Wo"] = _mat_grad(ctx, dout)
+    """Input gradient of _attn_forward; pops every entry of cache at its last use."""
+    grads[f"{prefix}.Wo"] = _mat_grad(cache.pop("ctx"), dout)
     grads[f"{prefix}.bo"] = dout.sum((0, 1))
     dctx = _split_heads(dout @ w[f"{prefix}.Wo"].T, heads)
-    dp = dctx @ v.transpose(0, 1, 3, 2)
+    dp = dctx @ cache.pop("v").transpose(0, 1, 3, 2)
+    p, keep, c = cache.pop("p"), cache.pop("keep"), cache.pop("c")
     if keep is None:
         dv = p.transpose(0, 1, 3, 2) @ dctx
+        del dctx
         tmp = dp * p
     else:
         tmp = p * keep  # the forward's dropped weights, rebuilt instead of cached
         tmp *= c
         dv = tmp.transpose(0, 1, 3, 2) @ dctx
+        del dctx
         dp *= keep
+        del keep
         dp *= c
         np.multiply(dp, p, out=tmp)
     dp -= tmp.sum(-1, keepdims=True)
+    del tmp
     dp *= p  # now the score gradient
-    dq = dp @ k
+    del p
+    scale = cache.pop("scale")
+    dq = dp @ cache.pop("k")
     dq *= scale
-    dk = dp.transpose(0, 1, 3, 2) @ q
+    dk = dp.transpose(0, 1, 3, 2) @ cache.pop("q")
+    del dp
     dk *= scale
+    X = cache.pop("X")
+    dparts = [dq, dk, dv]
+    del dq, dk, dv
     dX = None
-    for dpart, wname, bname in ((dq, "Wq", "bq"), (dk, "Wk", "bk"), (dv, "Wv", "bv")):
-        merged = _merge_heads(dpart)
-        grads[f"{prefix}.{wname}"] = _mat_grad(X, merged)
-        grads[f"{prefix}.{bname}"] = merged.sum((0, 1))
-        part = merged @ w[f"{prefix}.{wname}"].T
+    for name in ("q", "k", "v"):
+        merged = _merge_heads(dparts.pop(0))
+        grads[f"{prefix}.W{name}"] = _mat_grad(X, merged)
+        grads[f"{prefix}.b{name}"] = merged.sum((0, 1))
+        part = merged @ w[f"{prefix}.W{name}"].T
+        del merged
         dX = part if dX is None else np.add(dX, part, out=dX)
     return dX
 
@@ -429,14 +445,15 @@ def _block_forward(X, mask, bias, w, prefix, enc: EncoderConfig, rng):
     f += h
     y, ln2_cache = _ln_forward(f, w[f"{prefix}.ln2.g"], w[f"{prefix}.ln2.b"])
     y *= mask[:, :, None]
-    return y, (attn_cache, ln1_cache, h, rd, c, ln2_cache, mask)
+    return y, dict(attn=attn_cache, ln1=ln1_cache, h=h, rd=rd, c=c, ln2=ln2_cache, mask=mask)
 
 
 def _block_backward(dy, cache, w, prefix, enc: EncoderConfig, grads):
-    attn_cache, ln1_cache, h, rd, c, ln2_cache, mask = cache
+    """Input gradient of _block_forward; pops every entry of cache at its last use."""
     ds2, grads[f"{prefix}.ln2.g"], grads[f"{prefix}.ln2.b"] = _ln_backward(
-        dy * mask[:, :, None], ln2_cache
+        dy * cache.pop("mask")[:, :, None], cache.pop("ln2")
     )
+    rd = cache.pop("rd")
     grads[f"{prefix}.ffn.W2"] = _mat_grad(rd, ds2)
     grads[f"{prefix}.ffn.b2"] = ds2.sum((0, 1))
     dh1 = ds2 @ w[f"{prefix}.ffn.W2"].T
@@ -444,14 +461,18 @@ def _block_backward(dy, cache, w, prefix, enc: EncoderConfig, grads):
     # by c gives the same bits, signed zeros included, as scaling by the float
     # dropout mask first and then masking by the pre-ReLU sign.
     dh1 *= rd > 0.0
+    del rd
+    c = cache.pop("c")
     if c is not None:
         dh1 *= c
-    grads[f"{prefix}.ffn.W1"] = _mat_grad(h, dh1)
+    grads[f"{prefix}.ffn.W1"] = _mat_grad(cache.pop("h"), dh1)
     grads[f"{prefix}.ffn.b1"] = dh1.sum((0, 1))
     dh = dh1 @ w[f"{prefix}.ffn.W1"].T
+    del dh1
     dh += ds2
-    ds1, grads[f"{prefix}.ln1.g"], grads[f"{prefix}.ln1.b"] = _ln_backward(dh, ln1_cache)
-    dx = _attn_backward(ds1, attn_cache, w, f"{prefix}.attn", enc.heads, grads)
+    del ds2
+    ds1, grads[f"{prefix}.ln1.g"], grads[f"{prefix}.ln1.b"] = _ln_backward(dh, cache.pop("ln1"))
+    dx = _attn_backward(ds1, cache.pop("attn"), w, f"{prefix}.attn", enc.heads, grads)
     dx += ds1
     return dx
 
@@ -470,11 +491,14 @@ def _encoder_forward(Z, mask, w, name, enc: EncoderConfig, rng):
 
 
 def _encoder_backward(dout, caches, mask, w, name, enc: EncoderConfig, grads):
-    """Input gradient of _encoder_forward. Overwrites dout with its masked self."""
+    """Input gradient of _encoder_forward. Overwrites dout with its masked self.
+
+    Pops the block caches off the list, last block first, so it ends empty.
+    """
     dout *= mask[:, :, None]
     dcur = dout
     for i in reversed(range(enc.blocks)):
-        dcur = _block_backward(dcur, caches[i], w, f"{name}.{i}", enc, grads)
+        dcur = _block_backward(dcur, caches.pop(), w, f"{name}.{i}", enc, grads)
     dcur += dout  # block-stack input grad plus the skip branch
     return dcur
 
@@ -558,10 +582,15 @@ def _forward(params, A, B, C, mask, rng=None):
 
 
 def _backward_batch(params: ModelParams, cache, dprobs, demb):
-    """Backward through the cache of a _forward pass given dL/dprobs and dL/demb."""
+    """Backward through the cache of a _forward pass given dL/dprobs and dL/demb.
+
+    Consumes the cache: every entry is popped at its last use, so the dict
+    and the containers in it are empty on return.
+    """
     w = params.tensors
     grads: dict[str, np.ndarray] = {}
-    probs, pooled, mask, nreal = cache["probs"], cache["pooled"], cache["mask"], cache["nreal"]
+    probs, pooled = cache.pop("probs"), cache.pop("pooled")
+    mask, nreal = cache.pop("mask"), cache.pop("nreal")
 
     dlogits = probs * (dprobs - (dprobs * probs).sum(-1, keepdims=True))
     grads["head.cls.W"] = pooled.T @ dlogits
@@ -569,18 +598,19 @@ def _backward_batch(params: ModelParams, cache, dprobs, demb):
     grads["head.emb.W"] = pooled.T @ demb
     grads["head.emb.b"] = demb.sum(0)
     dpooled = dlogits @ w["head.cls.W"].T + demb @ w["head.emb.W"].T
-    denc_out = dpooled[:, None, :] * (mask[:, :, None] / nreal[:, None, None])
+    douts = [dpooled[:, None, :] * (mask[:, :, None] / nreal[:, None, None])]
 
     branches, fused = params.config.encoders()
-    douts = [denc_out]
     if fused is not None:
-        dzf = _encoder_backward(denc_out, cache["enc.f"], mask, w, "f", fused, grads)
+        dzf = _encoder_backward(douts.pop(), cache.pop("enc.f"), mask, w, "f", fused, grads)
         widths = [enc.d_model for _, enc in branches.values()]
         douts = np.split(dzf, np.cumsum(widths[:-1]), axis=-1)
-    for (name, (_, enc)), dout in zip(branches.items(), douts):
-        dz = _encoder_backward(dout, cache[f"enc.{name}"], mask, w, name, enc, grads)
-        grads[f"{name}.proj.W"] = _mat_grad(cache[f"x.{name}"], dz)
+        del dzf
+    for name, (_, enc) in branches.items():
+        dz = _encoder_backward(douts.pop(0), cache.pop(f"enc.{name}"), mask, w, name, enc, grads)
+        grads[f"{name}.proj.W"] = _mat_grad(cache.pop(f"x.{name}"), dz)
         grads[f"{name}.proj.b"] = dz.sum((0, 1))
+        del dz
     return {name: grads[name] for name in w}
 
 
@@ -714,7 +744,8 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict]:
 
     Tensors come back as read-only float32 views of the file's bytes, so a
     loaded model serves in float32; ModelParams.copy gives writable ones.
-    A tensor holding a NaN or infinity is a FormatError.
+    A tensor name listed twice, or a tensor holding a NaN or infinity, is a
+    FormatError.
     """
     buf = Path(path).read_bytes()
     if len(buf) < 4:
@@ -735,6 +766,8 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict]:
     tensors = {}
     for entry in header["tensors"]:
         name, shape, start = _tensor_entry(path, entry)
+        if name in tensors:
+            raise FormatError(f"{path}: tensor {name} listed twice")
         count = math.prod(shape)
         if start + 4 * count > payload_len:
             raise FormatError(f"{path}: tensor {name} extends past end of file")

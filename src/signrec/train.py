@@ -205,15 +205,18 @@ def _fit_epochs(
 
     adamax_step updates params.tensors and the optimizer state in place, so
     params must own writable arrays. Each epoch scores val_probs(params)
-    against val_labels and appends one JSON line to the optional log.
-    Returns the checkpoint with the best validation Top-1, earliest epoch on
-    ties, holding a copy of that epoch's weights.
+    against val_labels and appends one JSON line to the optional log, with
+    the epoch's wall time in seconds. Returns the checkpoint with the best
+    validation Top-1, earliest epoch on ties, holding a copy of that epoch's
+    weights. A step's gradients are dropped once Adamax has applied them, so
+    neither the next step, the validation pass nor the best copy holds them.
     """
     state = AdamaxState.zeros(params.tensors)
     best: Optional[Checkpoint] = None
     step = 0
     with open(log_path, "w") if log_path is not None else contextlib.nullcontext() as log_fh:
         for epoch in range(1, config.epochs + 1):
+            start = time.perf_counter()
             order = shuffle_rng.permutation(n)
             losses = []
             for i in range(0, n, config.batch_size):
@@ -224,6 +227,7 @@ def _fit_epochs(
                 adamax_step(
                     params.tensors, grads, state, step, config.learning_rate, config.weight_decay
                 )
+                del grads
                 losses.append(loss)
             probs = val_probs(params)
             val_top1 = topk_accuracy(probs, val_labels, 1)
@@ -233,6 +237,7 @@ def _fit_epochs(
                 "train_loss": float(np.mean(losses)),
                 "val_top1": val_top1,
                 "val_top5": val_top5,
+                "seconds": time.perf_counter() - start,
             }
             if log_fh is not None:
                 log_fh.write(json.dumps(entry) + "\n")

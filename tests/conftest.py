@@ -4,6 +4,8 @@ Everything here is sized for speed. The full-scale end-to-end runs live in
 test_acceptance.py with their own module-level fixtures.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -75,3 +77,14 @@ class RowwiseModel:
 
     def probs(self, A, B, C, mask):
         return np.stack([self.fn(StreamBatch(*row)) for row in zip(A, B, C, mask)])
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the tracemalloc peak in bytes of what it allocated)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak

@@ -85,7 +85,7 @@ def test_train_log_and_checkpoint_meta(pipeline):
     root = pipeline["root"]
     rows = [json.loads(line) for line in (root / "late.log").read_text().splitlines()]
     assert len(rows) == 1
-    assert set(rows[0]) == {"epoch", "train_loss", "val_top1", "val_top5"}
+    assert set(rows[0]) == {"epoch", "train_loss", "val_top1", "val_top5", "seconds"}
     _, meta = load_model(root / "late.ckpt")
     assert meta["arch"] == "late"
     assert meta["epoch"] == 1
@@ -388,6 +388,13 @@ def _tensor(header, name):
     return next(t for t in header["tensors"] if t["name"] == name)
 
 
+def _duplicate_tensor(name, other):
+    """Edit that lists tensor `name` a second time, pointing at the bytes of `other`."""
+    return lambda header: header["tensors"].append(
+        {**_tensor(header, name), "offset": _tensor(header, other)["offset"]}
+    )
+
+
 def _num_classes(f):
     """Edit that replaces a checkpoint's num_classes k with f(k)."""
     return lambda header: header["config"].update(num_classes=f(header["config"]["num_classes"]))
@@ -431,6 +438,8 @@ def _num_classes(f):
         ("ens.ckpt", _num_classes(str), FormatError),
         ("ens.ckpt", _num_classes(float), FormatError),
         ("ens.ckpt", _num_classes(lambda k: True), FormatError),
+        ("late.ckpt", _duplicate_tensor("f.0.attn.Wk", "f.0.attn.Wq"), FormatError),
+        ("data", _embeddings(lambda d: {**d, "01": d["0"]}), FormatError),
     ],
     ids=[
         "center-outside", "nan-feature", "inf-center", "label-not-int",
@@ -444,6 +453,7 @@ def _num_classes(f):
         "zero-heads", "tensor-name-not-string", "one-class", "blocks-fractional",
         "heads-fractional", "classes-string", "ensemble-classes-fractional",
         "ensemble-classes-string", "ensemble-classes-float", "ensemble-classes-bool",
+        "duplicate-tensor", "embeddings-duplicate-class",
     ],
 )
 def test_malformed_input_exits_2(pipeline, tmp_path, source, edit, error):

@@ -1,7 +1,6 @@
 """Adamax oracle checks, training-loop determinism, and evaluation."""
 
 import json
-import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -21,7 +20,7 @@ from signrec.train import (
     split_probabilities,
     train_model,
 )
-from conftest import TINY_T, RowwiseModel, random_stream_batch
+from conftest import TINY_T, RowwiseModel, random_stream_batch, traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +139,7 @@ def test_adamax_step_peak_memory(wd):
     grads = {"w": rng.standard_normal((756, 756))}
     state = AdamaxState.zeros(tensors)
     adamax_step(tensors, grads, state, 1, 0.0012, wd)
-    tracemalloc.start()
-    try:
-        adamax_step(tensors, grads, state, 2, 0.0012, wd)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(adamax_step, tensors, grads, state, 2, 0.0012, wd)
     assert peak < 2.25 * tensors["w"].nbytes
 
 
@@ -224,7 +218,7 @@ def test_train_model_log_and_checkpoint_selection(tmp_path, tiny_dataset):
     )
     rows = [json.loads(line) for line in log.read_text().splitlines()]
     assert [r["epoch"] for r in rows] == [1, 2, 3, 4]
-    assert set(rows[0]) == {"epoch", "train_loss", "val_top1", "val_top5"}
+    assert set(rows[0]) == {"epoch", "train_loss", "val_top1", "val_top5", "seconds"}
     tops = [r["val_top1"] for r in rows]
     assert ck.val_top1 == max(tops)
     assert ck.epoch == tops.index(max(tops)) + 1  # earliest epoch wins ties
@@ -291,7 +285,8 @@ def test_fit_epochs_selection_and_log(tmp_path, capsys):
     for e in range(4):
         assert sorted(np.concatenate(chunks[3 * e : 3 * e + 3])) == [0, 1, 2, 3, 4]
     rows = [json.loads(line) for line in log.read_text().splitlines()]
-    assert [set(r) for r in rows] == [{"epoch", "train_loss", "val_top1", "val_top5"}] * 4
+    assert [set(r) for r in rows] == [{"epoch", "train_loss", "val_top1", "val_top5", "seconds"}] * 4
+    assert all(r["seconds"] >= 0.0 for r in rows)
     assert [r["epoch"] for r in rows] == [1, 2, 3, 4]
     assert [r["train_loss"] for r in rows] == [2.0, 5.0, 8.0, 11.0]
     assert [r["val_top1"] for r in rows] == [0.5, 1.0, 1.0, 0.5]
