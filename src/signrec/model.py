@@ -36,6 +36,10 @@ handed: the forward keeps its caches in dicts and lists, and the backward
 pops each array at its last use and drops each of its own temporaries there
 too, so a step holds only what the rest of the backward still needs. It
 writes none of the cached arrays, and leaves every cache container empty.
+forward_batch's concurrent row blocks share only the read-only parameters and
+positional table, and each block's pass owns its temporaries. The code a
+worker thread runs calls no public function of the package: perfbench's tracer
+wraps public functions with one span stack shared by all threads.
 """
 
 from __future__ import annotations
@@ -44,7 +48,10 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -62,6 +69,24 @@ CLASS_LOSS_WEIGHT = 1.8
 EMBED_LOSS_WEIGHT = 0.5
 # Inference forwards run in blocks of max(1, _BLOCK_CELLS // T) rows; see forward_batch.
 _BLOCK_CELLS = 128
+# forward_batch runs a share of its blocks on each CPU the process may use: one
+# share in the caller, the others on _POOL_WORKERS threads started at first use.
+try:
+    _POOL_WORKERS = len(os.sched_getaffinity(0)) - 1
+except AttributeError:  # no affinity call on this platform
+    _POOL_WORKERS = (os.cpu_count() or 1) - 1
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's workers did not come along, so start a new pool when needed."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 # ---------------------------------------------------------------------------
@@ -526,25 +551,52 @@ def forward_batch(
     A/B/C are (N,T,dim) stream arrays, mask is (N,T) bool with at least one
     true entry per row. No dropout runs; loss_and_grads is the training pass.
 
-    The batch runs in blocks of max(1, 128 // T) consecutive rows and the
-    outputs are concatenated. Every matmul runs one row at a time, so a row's
-    outputs are the same bit for bit whatever batch or block it shares. The
-    blocks keep each pass's temporaries small enough that the allocator reuses
-    them instead of returning them to the kernel and faulting them in again on
-    the next call (on a 2-vCPU machine at T=40, a row cost about 30% more in
-    one pass of 32 rows than in blocks of 3).
+    The batch runs in blocks of max(1, 128 // T) consecutive rows, and the
+    blocks run concurrently: the caller's thread runs the first contiguous
+    share of them and a thread pool with one worker per further CPU runs the
+    other shares. The outputs are concatenated in row order. Every matmul runs
+    one row at a time, so a row's outputs are the same bit for bit whatever
+    batch or block it shares and however many CPUs run the blocks. The blocks
+    keep each pass's temporaries small enough that the allocator reuses them
+    instead of returning them to the kernel and faulting them in again on the
+    next call (in float32 on a 2-vCPU machine at T=40, over 6 decode
+    sentences, 2-4 rows per block were within noise of each other, and 12 or
+    32 rows per block were 20-30% slower).
     """
     _check_streams(params, A, B, C, mask)
     n, T = A.shape[:2]
     rows = max(1, _BLOCK_CELLS // max(T, 1))
     if n <= rows:
         return _forward(params, A, B, C, mask)[:2]
-    # [:2] frees each block's cache before the next block runs
-    blocks = [
-        _forward(params, A[i : i + rows], B[i : i + rows], C[i : i + rows], mask[i : i + rows])[:2]
-        for i in range(0, n, rows)
-    ]
+    starts = range(0, n, rows)
+    shares = min(len(starts), 1 + _POOL_WORKERS)
+    cuts = [len(starts) * s // shares for s in range(shares + 1)]
+    args = (params, A, B, C, mask, rows)
+    others = [_block_pool().submit(_forward_blocks, *args, starts[i:j]) for i, j in zip(cuts[1:], cuts[2:])]
+    try:
+        blocks = _forward_blocks(*args, starts[: cuts[1]])
+    finally:
+        wait(others)  # no worker still reads the caller's arrays once this call returns or raises
+    for share in others:
+        blocks += share.result()
     return np.concatenate([p for p, _ in blocks]), np.concatenate([e for _, e in blocks])
+
+
+def _block_pool() -> ThreadPoolExecutor:
+    """The forward_batch worker pool, created at the first call that needs it."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_POOL_WORKERS, thread_name_prefix="signrec-forward")
+        return _pool
+
+
+def _forward_blocks(params, A, B, C, mask, rows, starts):
+    """[(probs, emb)] of the rows-row blocks at starts; [:2] frees each block's cache before the next."""
+    return [
+        _forward(params, A[i : i + rows], B[i : i + rows], C[i : i + rows], mask[i : i + rows])[:2]
+        for i in starts
+    ]
 
 
 def _forward(params, A, B, C, mask, rng=None):
@@ -744,8 +796,9 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict]:
 
     Tensors come back as read-only float32 views of the file's bytes, so a
     loaded model serves in float32; ModelParams.copy gives writable ones.
-    A tensor name listed twice, or a tensor holding a NaN or infinity, is a
-    FormatError.
+    The tensors must tile the payload exactly: two tensors sharing bytes, a
+    byte no tensor covers, a tensor listed twice or holding a NaN or infinity
+    is a FormatError.
     """
     buf = Path(path).read_bytes()
     if len(buf) < 4:
@@ -763,15 +816,21 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray], dict]:
     if not isinstance(header.get("config"), dict) or not isinstance(header.get("tensors"), list):
         raise FormatError(f"{path}: checkpoint header lacks a config or a tensor list")
     payload_len = len(buf) - (4 + hlen)
+    entries = [_tensor_entry(path, entry) for entry in header["tensors"]]
+    end = 0  # one pass in offset order: each tensor starts where the one before ended
+    for start, size, name in sorted((start, 4 * math.prod(shape), name) for name, shape, start in entries):
+        if start < end:
+            raise FormatError(f"{path}: tensor {name} overlaps the tensor before it")
+        if start > end:
+            raise FormatError(f"{path}: payload bytes {end}-{start} belong to no tensor")
+        end = start + size
+    if end != payload_len:
+        raise FormatError(f"{path}: tensors end at payload byte {end}, the payload has {payload_len}")
     tensors = {}
-    for entry in header["tensors"]:
-        name, shape, start = _tensor_entry(path, entry)
+    for name, shape, start in entries:
         if name in tensors:
             raise FormatError(f"{path}: tensor {name} listed twice")
-        count = math.prod(shape)
-        if start + 4 * count > payload_len:
-            raise FormatError(f"{path}: tensor {name} extends past end of file")
-        arr = np.frombuffer(buf, dtype="<f4", count=count, offset=4 + hlen + start)
+        arr = np.frombuffer(buf, dtype="<f4", count=math.prod(shape), offset=4 + hlen + start)
         if not np.isfinite(arr).all():
             raise FormatError(f"{path}: tensor {name} holds a non-finite value")
         tensors[name] = arr.reshape(shape)

@@ -263,12 +263,17 @@ def test_corrupt_record_exits_2(pipeline, tmp_path, capsys):
 
 
 def _rewrite_header(src, dst, edit):
+    """Copy checkpoint src to dst with edit applied to its header.
+
+    If edit returns bytes, they are appended after the payload.
+    """
     raw = src.read_bytes()
     (hlen,) = struct.unpack_from("<I", raw)
     header = json.loads(raw[4 : 4 + hlen])
-    edit(header)
+    tail = edit(header)
     text = json.dumps(header).encode()
-    dst.write_bytes(struct.pack("<I", len(text)) + text + raw[4 + hlen :])
+    payload = raw[4 + hlen :] + (tail if isinstance(tail, bytes) else b"")
+    dst.write_bytes(struct.pack("<I", len(text)) + text + payload)
 
 
 def _drop(key):
@@ -395,6 +400,11 @@ def _duplicate_tensor(name, other):
     )
 
 
+def _point_tensor(name, other):
+    """Edit that points tensor `name` at the bytes of `other` instead of its own."""
+    return lambda header: _tensor(header, name).update(offset=_tensor(header, other)["offset"])
+
+
 def _num_classes(f):
     """Edit that replaces a checkpoint's num_classes k with f(k)."""
     return lambda header: header["config"].update(num_classes=f(header["config"]["num_classes"]))
@@ -440,6 +450,8 @@ def _num_classes(f):
         ("ens.ckpt", _num_classes(lambda k: True), FormatError),
         ("late.ckpt", _duplicate_tensor("f.0.attn.Wk", "f.0.attn.Wq"), FormatError),
         ("data", _embeddings(lambda d: {**d, "01": d["0"]}), FormatError),
+        ("late.ckpt", _point_tensor("f.0.attn.Wk", "f.0.attn.Wq"), FormatError),
+        ("late.ckpt", lambda h: bytes(4096), FormatError),
     ],
     ids=[
         "center-outside", "nan-feature", "inf-center", "label-not-int",
@@ -453,7 +465,7 @@ def _num_classes(f):
         "zero-heads", "tensor-name-not-string", "one-class", "blocks-fractional",
         "heads-fractional", "classes-string", "ensemble-classes-fractional",
         "ensemble-classes-string", "ensemble-classes-float", "ensemble-classes-bool",
-        "duplicate-tensor", "embeddings-duplicate-class",
+        "duplicate-tensor", "embeddings-duplicate-class", "tensor-overlap", "trailing-bytes",
     ],
 )
 def test_malformed_input_exits_2(pipeline, tmp_path, source, edit, error):

@@ -9,12 +9,19 @@ cancel exactly in softmax) do not blow up the ratio.
 import dataclasses
 import hashlib
 import math
+import os
+import signal
 import struct
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from signrec import model
 from signrec.errors import ConfigurationError, DegenerateInputError, FormatError
 from signrec.model import (
     EarlyFusionConfig,
@@ -676,23 +683,131 @@ def test_training_step_peak_memory(arch, budget_mb):
     assert peak < budget_mb * 1e6
 
 
+@pytest.fixture
+def pool_workers(monkeypatch):
+    """use(n) gives forward_batch n pool workers whatever the CPU count.
+
+    Each use starts from no pool; the pools a test starts are shut down when
+    it next calls use and after it ends.
+    """
+    monkeypatch.setattr(model, "_pool", None)
+    monkeypatch.setattr(model, "_POOL_WORKERS", model._POOL_WORKERS)
+
+    def use(workers):
+        if model._pool is not None:
+            model._pool.shutdown()
+        model._pool, model._POOL_WORKERS = None, workers
+
+    yield use
+    use(0)
+
+
 @pytest.mark.parametrize("arch", ["late", "early"])
-def test_inference_matches_allocating_oracle(arch):
+def test_inference_matches_allocating_oracle(arch, pool_workers):
     cfg = LateFusionConfig(num_classes=5) if arch == "late" else EarlyFusionConfig(num_classes=5)
     rng = np.random.default_rng(22)
     params = init_params(cfg, rng)
     T = 40
-    lengths = rng.integers(1, T + 1, size=32)
+    lengths = rng.integers(1, T + 1, size=33)
     a, b, c, mask = padded_batch(rng, lengths, T)
     before = snapshot(((a, b, c, mask), params.tensors))
     rows = 128 // T  # forward_batch's inference block
-    for n in (1, 32):
-        streams = [x[:n] for x in (a, b, c, mask)]
-        probs, emb = forward_batch(params, *streams)
-        want = [ref_forward(params, *(x[i : i + rows] for x in streams)) for i in range(0, n, rows)]
-        assert_same_bits(probs, np.concatenate([p for p, _, _ in want]))
-        assert_same_bits(emb, np.concatenate([e for _, e, _ in want]))
+    # 1 to 11 blocks on 1, 2 and 4 threads: the shares need not be equal, and
+    # the rows come back in order
+    for workers in (0, 1, 3):
+        pool_workers(workers)
+        for n in (1, 4, 7, 20, 32, 33):
+            streams = [x[:n] for x in (a, b, c, mask)]
+            probs, emb = forward_batch(params, *streams)
+            want = [ref_forward(params, *(x[i : i + rows] for x in streams)) for i in range(0, n, rows)]
+            assert_same_bits(probs, np.concatenate([p for p, _, _ in want]))
+            assert_same_bits(emb, np.concatenate([e for _, e, _ in want]))
     assert_same_bits(((a, b, c, mask), params.tensors), before)
+
+
+def test_concurrent_callers_get_their_own_bytes(monkeypatch, pool_workers):
+    # Two callers race to start the block pool (2 workers whatever the CPU
+    # count) and then share it, with the interpreter switching threads often.
+    # One pool starts, each caller gets the bytes of its own call on one
+    # thread, and neither waits forever.
+    started = []
+
+    class CountedPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(model, "ThreadPoolExecutor", CountedPool)
+    cfg = LateFusionConfig(num_classes=5)
+    rng = np.random.default_rng(26)
+    params = init_params(cfg, rng)
+    params = ModelParams(cfg, {k: v.astype(np.float32) for k, v in params.tensors.items()})
+    batches = [padded_batch(rng, rng.integers(1, 41, size=32), 40) for _ in range(2)]
+    pool_workers(0)
+    want = [forward_batch(params, *batch) for batch in batches]
+    pool_workers(2)
+    got = [[], []]
+
+    def caller(i):
+        for _ in range(3):
+            got[i].append(forward_batch(params, *batches[i]))
+
+    threads = [threading.Thread(target=caller, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(started) == 1
+    for i in range(2):
+        assert len(got[i]) == 3
+        for outputs in got[i]:
+            assert_same_bits(outputs, want[i])
+
+
+def test_one_block_call_never_submits_to_the_pool(monkeypatch, tiny_early_config):
+    class NoPool:
+        def submit(self, *args):
+            raise AssertionError("submitted to the block pool")
+
+    monkeypatch.setattr(model, "_POOL_WORKERS", 1)
+    monkeypatch.setattr(model, "_pool", NoPool())
+    params = init_params(tiny_early_config, np.random.default_rng(27))
+    a, b, c, mask = padded_batch(np.random.default_rng(28), (40, 5, 17, 40), 40)
+    forward_batch(params, a[:3], b[:3], c[:3], mask[:3])  # one 3-row block at T=40
+    with pytest.raises(AssertionError, match="block pool"):
+        forward_batch(params, a, b, c, mask)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_its_own_pool(pool_workers, tiny_early_config):
+    # A forked child has none of its parent's pool workers; had it kept the
+    # parent's pool, its first call of two blocks would wait forever.
+    pool_workers(1)
+    params = init_params(tiny_early_config, np.random.default_rng(29))
+    batch = padded_batch(np.random.default_rng(30), (40, 5, 17, 40, 9, 33), 40)
+    want = forward_batch(params, *batch)  # starts the pool in this process
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            got = forward_batch(params, *batch)
+            code = 0 if all(g.tobytes() == w.tobytes() for g, w in zip(got, want)) else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.02)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    assert done[0] == pid, "the forked child's forward_batch did not return within 60 s"
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
