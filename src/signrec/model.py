@@ -36,16 +36,20 @@ handed: the forward keeps its caches in dicts and lists, and the backward
 pops each array at its last use and drops each of its own temporaries there
 too, so a step holds only what the rest of the backward still needs. It
 writes none of the cached arrays, and leaves every cache container empty.
-forward_batch's concurrent row blocks share only the read-only parameters and
-positional table, and each block's pass owns its temporaries. The code a
-worker thread runs calls no public function of the package: perfbench's tracer
-wraps public functions with one span stack shared by all threads.
+An inference pass keeps no encoder caches: each block's temporaries are
+dropped as the block ends. forward_batch's concurrent row blocks share only
+the read-only parameters and positional table, and each block's pass owns its
+temporaries. The code a worker thread runs calls no public function of the
+package: perfbench's tracer wraps public functions with one span stack shared
+by all threads.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -68,15 +72,17 @@ _PROB_FLOOR = 1e-12
 CLASS_LOSS_WEIGHT = 1.8
 EMBED_LOSS_WEIGHT = 0.5
 # Inference forwards run in blocks of max(1, _BLOCK_CELLS // T) rows; see forward_batch.
-_BLOCK_CELLS = 128
-# forward_batch runs a share of its blocks on each CPU the process may use: one
-# share in the caller, the others on _POOL_WORKERS threads started at first use.
+_BLOCK_CELLS = 256
+# forward_batch runs its blocks on each CPU the process may use: on the caller's
+# thread and on _POOL_WORKERS threads started at first use.
 try:
     _POOL_WORKERS = len(os.sched_getaffinity(0)) - 1
 except AttributeError:  # no affinity call on this platform
     _POOL_WORKERS = (os.cpu_count() or 1) - 1
 _pool: Optional[ThreadPoolExecutor] = None
 _pool_lock = threading.Lock()
+# mallopt parameter numbers in glibc's malloc.h; see _keep_freed_heap
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
 def _forget_pool() -> None:
@@ -502,14 +508,20 @@ def _block_backward(dy, cache, w, prefix, enc: EncoderConfig, grads):
     return dx
 
 
-def _encoder_forward(Z, mask, w, name, enc: EncoderConfig, rng):
-    """Block stack plus the additive skip from Z; masked rows zeroed."""
+def _encoder_forward(Z, mask, w, name, enc: EncoderConfig, rng, keep=True):
+    """Block stack plus the additive skip from Z; masked rows zeroed.
+
+    Without keep the block caches are dropped as each block ends, and the
+    returned list is empty.
+    """
     bias = _mask_bias(mask, Z.dtype)
     cur = Z
     caches = []
     for i in range(enc.blocks):
         cur, c = _block_forward(cur, mask, bias, w, f"{name}.{i}", enc, rng)
-        caches.append(c)
+        if keep:
+            caches.append(c)
+        del c
     cur += Z  # the last block's output is cached nowhere
     cur *= mask[:, :, None]
     return cur, caches
@@ -551,34 +563,43 @@ def forward_batch(
     A/B/C are (N,T,dim) stream arrays, mask is (N,T) bool with at least one
     true entry per row. No dropout runs; loss_and_grads is the training pass.
 
-    The batch runs in blocks of max(1, 128 // T) consecutive rows, and the
-    blocks run concurrently: the caller's thread runs the first contiguous
-    share of them and a thread pool with one worker per further CPU runs the
-    other shares. The outputs are concatenated in row order. Every matmul runs
-    one row at a time, so a row's outputs are the same bit for bit whatever
-    batch or block it shares and however many CPUs run the blocks. The blocks
-    keep each pass's temporaries small enough that the allocator reuses them
-    instead of returning them to the kernel and faulting them in again on the
-    next call (in float32 on a 2-vCPU machine at T=40, over 6 decode
-    sentences, 2-4 rows per block were within noise of each other, and 12 or
-    32 rows per block were 20-30% slower).
+    The batch runs in blocks of max(1, 256 // T) consecutive rows, and the
+    blocks run concurrently: the caller's thread and a thread pool with one
+    worker per further CPU each take the next unclaimed block until none is
+    left, so a thread the machine runs slowly takes fewer blocks and the
+    caller never waits on a worker that has not started. The outputs are
+    concatenated in row order. Every matmul runs one row at a time, so a
+    row's outputs are the same bit for bit whatever batch or block it shares
+    and however many CPUs run the blocks. The first call of more than one
+    block has glibc keep freed heap memory (see _keep_freed_heap), so each
+    block reuses the memory of the one before instead of faulting it in
+    again. The block size is measured with that heap: in float32 at T=40 on
+    a 2-vCPU VM, one thread ran 3-row blocks 7% slower than 6- to 12-row
+    blocks and 24-row blocks 10% slower, and two threads ran 6-row blocks
+    1.8-1.9 times as fast as one against 1.6-1.7 for 3-row blocks, since a
+    bigger block hands the interpreter lock between the threads fewer times
+    per row.
     """
     _check_streams(params, A, B, C, mask)
     n, T = A.shape[:2]
     rows = max(1, _BLOCK_CELLS // max(T, 1))
     if n <= rows:
-        return _forward(params, A, B, C, mask)[:2]
+        return _forward(params, A, B, C, mask, keep=False)[:2]
+    _keep_freed_heap()
     starts = range(0, n, rows)
-    shares = min(len(starts), 1 + _POOL_WORKERS)
-    cuts = [len(starts) * s // shares for s in range(shares + 1)]
-    args = (params, A, B, C, mask, rows)
-    others = [_block_pool().submit(_forward_blocks, *args, starts[i:j]) for i, j in zip(cuts[1:], cuts[2:])]
+    blocks: list = [None] * len(starts)
+    claims = itertools.count()  # next() is atomic, so each block goes to one thread
+    args = (params, A, B, C, mask, rows, starts, blocks, claims)
+    helpers = [_block_pool().submit(_forward_blocks, *args) for _ in range(min(_POOL_WORKERS, len(starts) - 1))]
     try:
-        blocks = _forward_blocks(*args, starts[: cuts[1]])
+        _forward_blocks(*args)
     finally:
-        wait(others)  # no worker still reads the caller's arrays once this call returns or raises
-    for share in others:
-        blocks += share.result()
+        # a helper still queued is cancelled; no running one still reads the
+        # caller's arrays once this call returns or raises
+        wait([h for h in helpers if not h.cancel()])
+    for h in helpers:
+        if not h.cancelled():
+            h.result()  # re-raises a helper's error
     return np.concatenate([p for p, _ in blocks]), np.concatenate([e for _, e in blocks])
 
 
@@ -591,16 +612,43 @@ def _block_pool() -> ThreadPoolExecutor:
         return _pool
 
 
-def _forward_blocks(params, A, B, C, mask, rows, starts):
-    """[(probs, emb)] of the rows-row blocks at starts; [:2] frees each block's cache before the next."""
-    return [
-        _forward(params, A[i : i + rows], B[i : i + rows], C[i : i + rows], mask[i : i + rows])[:2]
-        for i in starts
-    ]
+@functools.lru_cache(maxsize=None)
+def _keep_freed_heap() -> None:
+    """Have glibc keep freed heap memory for reuse instead of handing it back to the kernel; once per process.
+
+    By default glibc trims a heap as soon as its free top passes a threshold
+    of about 128 KB, so each block's pass faults its temporaries in afresh,
+    and two threads faulting and trimming at once contend in the kernel. On
+    a 2-vCPU VM, a pass of both base models over 100 records at T=40 in
+    batches of 32 and 3-row blocks took 4,000-10,000 minor faults with the
+    default settings and under 100 with these, and its forward_batch calls
+    ran 1.58 times as fast on two threads as on one (median) instead of
+    1.41. The values are glibc's own upper bounds for its adaptive
+    thresholds. Other C libraries are left as they are.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt in this C library
+        return
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 
-def _forward(params, A, B, C, mask, rng=None):
-    """(probs, emb, cache) of one unchecked pass over the whole batch; dropout when rng is given."""
+def _forward_blocks(params, A, B, C, mask, rows, starts, blocks, claims):
+    """Run the blocks at starts this thread claims from claims, into blocks."""
+    for k in claims:
+        if k >= len(starts):
+            return
+        block = slice(starts[k], starts[k] + rows)
+        blocks[k] = _forward(params, A[block], B[block], C[block], mask[block], keep=False)[:2]
+
+
+def _forward(params, A, B, C, mask, rng=None, keep=True):
+    """(probs, emb, cache) of one unchecked pass over the whole batch; dropout when rng is given.
+
+    keep=False is inference: each encoder block's temporaries are freed as
+    the block ends instead of living in the cache until the pass returns.
+    """
     w = params.tensors
     dt = w["head.cls.W"].dtype
     streams = [x.astype(dt, copy=False) for x in (A, B, C)]
@@ -613,12 +661,12 @@ def _forward(params, A, B, C, mask, rng=None):
         cache[f"x.{name}"] = x
         z = _affine(x, w[f"{name}.proj.W"], w[f"{name}.proj.b"])
         z += positional_encoding(T, enc.d_model)
-        out, cache[f"enc.{name}"] = _encoder_forward(z, mask, w, name, enc, rng)
+        out, cache[f"enc.{name}"] = _encoder_forward(z, mask, w, name, enc, rng, keep)
         outs.append(out)
     enc_out = outs[0]
     if fused is not None:
         zf = np.concatenate(outs, axis=-1)
-        enc_out, cache["enc.f"] = _encoder_forward(zf, mask, w, "f", fused, rng)
+        enc_out, cache["enc.f"] = _encoder_forward(zf, mask, w, "f", fused, rng, keep)
 
     nreal = mask.sum(1).astype(enc_out.dtype)
     pooled = enc_out.sum(1) / nreal[:, None]  # masked rows are exactly zero

@@ -15,7 +15,7 @@ import struct
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import numpy.testing as npt
@@ -283,7 +283,7 @@ def test_forward_masking_invariance(tiny_late_config, tiny_early_config):
 
 
 def test_inference_blocks_match_row_by_row(tiny_late_config, tiny_early_config):
-    # at T=40 inference runs in blocks of 3 rows, so 7 rows span three blocks;
+    # at T=40 inference runs in blocks of 6 rows, so 7 rows span two blocks;
     # a row gives the same bits alone, in a block and in the whole batch. The
     # full-size heads are wide enough for a shared GEMM to change float32 sums.
     rng = np.random.default_rng(12)
@@ -711,8 +711,8 @@ def test_inference_matches_allocating_oracle(arch, pool_workers):
     lengths = rng.integers(1, T + 1, size=33)
     a, b, c, mask = padded_batch(rng, lengths, T)
     before = snapshot(((a, b, c, mask), params.tensors))
-    rows = 128 // T  # forward_batch's inference block
-    # 1 to 11 blocks on 1, 2 and 4 threads: the shares need not be equal, and
+    rows = model._BLOCK_CELLS // T  # forward_batch's inference block
+    # 1 to 6 blocks on 1, 2 and 4 threads: the shares need not be equal, and
     # the rows come back in order
     for workers in (0, 1, 3):
         pool_workers(workers)
@@ -778,10 +778,31 @@ def test_one_block_call_never_submits_to_the_pool(monkeypatch, tiny_early_config
     monkeypatch.setattr(model, "_POOL_WORKERS", 1)
     monkeypatch.setattr(model, "_pool", NoPool())
     params = init_params(tiny_early_config, np.random.default_rng(27))
-    a, b, c, mask = padded_batch(np.random.default_rng(28), (40, 5, 17, 40), 40)
-    forward_batch(params, a[:3], b[:3], c[:3], mask[:3])  # one 3-row block at T=40
+    a, b, c, mask = padded_batch(np.random.default_rng(28), (40, 5, 17, 40, 9, 33, 2), 40)
+    forward_batch(params, a[:6], b[:6], c[:6], mask[:6])  # one 6-row block at T=40
     with pytest.raises(AssertionError, match="block pool"):
         forward_batch(params, a, b, c, mask)
+
+
+def test_caller_runs_every_block_when_no_worker_starts(monkeypatch, tiny_early_config):
+    # Blocks go to whichever thread claims them next, so a worker the pool
+    # never starts costs nothing: the caller runs all the blocks, gets the
+    # serial bytes and cancels the queued work instead of waiting on it.
+    queued = []
+
+    class StalledPool:
+        def submit(self, *args):
+            queued.append(Future())
+            return queued[-1]
+
+    params = init_params(tiny_early_config, np.random.default_rng(31))
+    batch = padded_batch(np.random.default_rng(32), (40, 5, 17, 40, 9, 33, 2, 12, 1, 40, 28, 6, 19), 40)  # 3 blocks
+    monkeypatch.setattr(model, "_POOL_WORKERS", 0)
+    want = forward_batch(params, *batch)
+    monkeypatch.setattr(model, "_POOL_WORKERS", 2)
+    monkeypatch.setattr(model, "_pool", StalledPool())
+    assert_same_bits(forward_batch(params, *batch), want)
+    assert len(queued) == 2 and all(f.cancelled() for f in queued)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -790,7 +811,7 @@ def test_forked_child_starts_its_own_pool(pool_workers, tiny_early_config):
     # parent's pool, its first call of two blocks would wait forever.
     pool_workers(1)
     params = init_params(tiny_early_config, np.random.default_rng(29))
-    batch = padded_batch(np.random.default_rng(30), (40, 5, 17, 40, 9, 33), 40)
+    batch = padded_batch(np.random.default_rng(30), (40, 5, 17, 40, 9, 33, 2), 40)  # two blocks
     want = forward_batch(params, *batch)  # starts the pool in this process
     pid = os.fork()
     if pid == 0:
@@ -813,7 +834,7 @@ def test_forked_child_starts_its_own_pool(pool_workers, tiny_early_config):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("arch", ["late", "early"])
 def test_training_pass_without_rng_matches_inference(arch, dtype):
-    # forward_batch runs blocks of 128 // T = 3 rows at T=40, loss_and_grads
+    # forward_batch runs blocks of 256 // T = 6 rows at T=40, loss_and_grads
     # one pass over the whole batch. Without an rng no dropout runs, and the
     # two entries give the same bits at every batch size.
     cfg = LateFusionConfig(num_classes=5) if arch == "late" else EarlyFusionConfig(num_classes=5)
@@ -843,7 +864,7 @@ def test_float32_params_and_streams_give_float32_outputs(tiny_late_config, tiny_
         # reference: the same float32 values, computed in float64
         want_p, want_e = forward_batch(params64, *f64, mask)
         assert want_p.dtype == want_e.dtype == np.float64
-        for n in (1, 7):  # one pass, and three inference blocks
+        for n in (1, 7):  # one pass, and two inference blocks
             probs, emb = forward_batch(params32, *(x[:n] for x in f32), mask[:n])
             assert probs.dtype == np.float32 and emb.dtype == np.float32
             npt.assert_allclose(probs, want_p[:n], atol=1e-5)
