@@ -145,7 +145,10 @@ def load_record(path) -> FeatureSequence:
     centers = np.stack([payload["c0"], payload["c1"]], axis=1)
     if not ((centers >= 0.0) & (centers <= 1.0)).all():
         raise CorruptRecordError(f"{path}: hand center outside [0,1] or not finite")
-    present = np.stack([payload["p0"], payload["p1"]], axis=1) != 0
+    presence = np.stack([payload["p0"], payload["p1"]], axis=1)
+    if (presence > 1).any():
+        raise CorruptRecordError(f"{path}: hand presence byte other than 0 or 1")
+    present = presence == 1
     label_id = None if not (flags & _FLAG_LABEL) else int(label)
     return FeatureSequence(
         payload["hand"], payload["arm"], payload["lip"], centers, present, label_id, int(signer)

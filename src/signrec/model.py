@@ -8,8 +8,9 @@ gradient checks call loss_and_grads on the float64 weights directly, so they
 stay in float64. load_checkpoint gives float32, so loaded models serve in
 float32, as freshly trained ones do. forward_batch is the one inference pass
 over (N,T,dim) stream arrays; loss_and_grads is the one training pass: the same
-forward, with dropout when it is given an rng, then the combined loss and the
-full analytic backward pass. Stream ablation happens before either, where
+forward, with dropout masks drawn from an rng when it is given one, then the
+combined loss and the full analytic backward pass. Both run a batch in row
+blocks on every CPU. Stream ablation happens before either, where
 preprocess.stack_batches stacks a batch. Gradients are written by
 hand and validated against central finite differences in the test suite.
 
@@ -37,11 +38,15 @@ pops each array at its last use and drops each of its own temporaries there
 too, so a step holds only what the rest of the backward still needs. It
 writes none of the cached arrays, and leaves every cache container empty.
 An inference pass keeps no encoder caches: each block's temporaries are
-dropped as the block ends. forward_batch's concurrent row blocks share only
-the read-only parameters and positional table, and each block's pass owns its
-temporaries. The code a worker thread runs calls no public function of the
-package: perfbench's tracer wraps public functions with one span stack shared
-by all threads.
+dropped as the block ends. The concurrent row blocks of forward_batch and
+loss_and_grads share only read-only arrays: the parameters, the positional
+table, the caller's inputs and a training step's dropout masks, of which
+each block reads its own rows. Each block's pass owns its cache, its
+temporaries and its gradient dict; a training block hands its dict to the
+step's _BlockOrderSum, which owns it from then on and adds it into block
+0's dict, the step's result, in block order. The code a worker thread runs
+calls no public function of the package: perfbench's tracer wraps public
+functions with one span stack shared by all threads.
 """
 
 from __future__ import annotations
@@ -71,10 +76,10 @@ _MASK_BIAS = -1e30
 _PROB_FLOOR = 1e-12
 CLASS_LOSS_WEIGHT = 1.8
 EMBED_LOSS_WEIGHT = 0.5
-# Inference forwards run in blocks of max(1, _BLOCK_CELLS // T) rows; see forward_batch.
+# forward_batch and loss_and_grads run in blocks of max(1, _BLOCK_CELLS // T) rows.
 _BLOCK_CELLS = 256
-# forward_batch runs its blocks on each CPU the process may use: on the caller's
-# thread and on _POOL_WORKERS threads started at first use.
+# The blocks run on each CPU the process may use: on the caller's thread and on
+# _POOL_WORKERS threads started at first use; see _run_blocks.
 try:
     _POOL_WORKERS = len(os.sched_getaffinity(0)) - 1
 except AttributeError:  # no affinity call on this platform
@@ -391,8 +396,12 @@ def _mask_bias(mask: np.ndarray, dtype) -> np.ndarray:
     return np.where(mask[:, None, None, :], 0.0, _MASK_BIAS).astype(dtype, copy=False)
 
 
-def _attn_forward(X, bias, w, prefix, heads, dropout, rng):
-    """Multi-head attention with key masking by bias, dropout if rng. Returns (out, cache)."""
+def _attn_forward(X, bias, w, prefix, heads, dropout, keep):
+    """Multi-head attention with key masking by bias. Returns (out, cache).
+
+    keep is None or the (N,heads,T,T) bool mask of attention weights that
+    survive dropout at rate dropout.
+    """
     q = _split_heads(_affine(X, w[f"{prefix}.Wq"], w[f"{prefix}.bq"]), heads)
     k = _split_heads(_affine(X, w[f"{prefix}.Wk"], w[f"{prefix}.bk"]), heads)
     v = _split_heads(_affine(X, w[f"{prefix}.Wv"], w[f"{prefix}.bv"]), heads)
@@ -403,13 +412,11 @@ def _attn_forward(X, bias, w, prefix, heads, dropout, rng):
     p -= p.max(-1, keepdims=True)
     np.exp(p, out=p)
     p /= p.sum(-1, keepdims=True)  # masked keys get exactly zero weight
-    keep = c = None
+    c = None
     pd = p
-    if rng is not None and dropout > 0.0:
+    if keep is not None:
         c = 1.0 / (1.0 - dropout)
-        pd = rng.random(p.shape, dtype=p.dtype)
-        keep = pd >= dropout
-        np.multiply(p, keep, out=pd)
+        pd = p * keep
         pd *= c
     ctx = _merge_heads(pd @ v)
     out = _affine(ctx, w[f"{prefix}.Wo"], w[f"{prefix}.bo"])
@@ -460,16 +467,21 @@ def _attn_backward(dout, cache, w, prefix, heads, grads):
     return dX
 
 
-def _block_forward(X, mask, bias, w, prefix, enc: EncoderConfig, rng):
-    """One post-norm encoder block; masked rows are zeroed on output."""
-    s, attn_cache = _attn_forward(X, bias, w, f"{prefix}.attn", enc.heads, enc.dropout_rate, rng)
+def _block_forward(X, mask, bias, w, prefix, enc: EncoderConfig, drop):
+    """One post-norm encoder block; masked rows are zeroed on output.
+
+    drop holds the block's dropout masks, if any, under _dropout_masks' names.
+    """
+    keep = drop.get(f"{prefix}.attn")
+    s, attn_cache = _attn_forward(X, bias, w, f"{prefix}.attn", enc.heads, enc.dropout_rate, keep)
     s += X
     h, ln1_cache = _ln_forward(s, w[f"{prefix}.ln1.g"], w[f"{prefix}.ln1.b"])
     rd = _affine(h, w[f"{prefix}.ffn.W1"], w[f"{prefix}.ffn.b1"])
     np.maximum(rd, 0.0, out=rd)
     c = None
-    if rng is not None and enc.dropout_rate > 0.0:
-        rd *= rng.random(rd.shape, dtype=rd.dtype) >= enc.dropout_rate
+    keep = drop.get(f"{prefix}.ffn")
+    if keep is not None:
+        rd *= keep
         c = 1.0 / (1.0 - enc.dropout_rate)
         rd *= c
     f = _affine(rd, w[f"{prefix}.ffn.W2"], w[f"{prefix}.ffn.b2"])
@@ -508,7 +520,7 @@ def _block_backward(dy, cache, w, prefix, enc: EncoderConfig, grads):
     return dx
 
 
-def _encoder_forward(Z, mask, w, name, enc: EncoderConfig, rng, keep=True):
+def _encoder_forward(Z, mask, w, name, enc: EncoderConfig, drop, keep=True):
     """Block stack plus the additive skip from Z; masked rows zeroed.
 
     Without keep the block caches are dropped as each block ends, and the
@@ -518,7 +530,7 @@ def _encoder_forward(Z, mask, w, name, enc: EncoderConfig, rng, keep=True):
     cur = Z
     caches = []
     for i in range(enc.blocks):
-        cur, c = _block_forward(cur, mask, bias, w, f"{name}.{i}", enc, rng)
+        cur, c = _block_forward(cur, mask, bias, w, f"{name}.{i}", enc, drop)
         if keep:
             caches.append(c)
         del c
@@ -584,15 +596,45 @@ def forward_batch(
     n, T = A.shape[:2]
     rows = max(1, _BLOCK_CELLS // max(T, 1))
     if n <= rows:
-        return _forward(params, A, B, C, mask, keep=False)[:2]
-    _keep_freed_heap()
+        return _forward(params, A, B, C, mask, {}, keep=False)[:2]
     starts = range(0, n, rows)
     blocks: list = [None] * len(starts)
+
+    def run(k):
+        block = slice(starts[k], starts[k] + rows)
+        blocks[k] = _forward(params, A[block], B[block], C[block], mask[block], {}, keep=False)[:2]
+
+    _run_blocks(len(starts), run)
+    return np.concatenate([p for p, _ in blocks]), np.concatenate([e for _, e in blocks])
+
+
+def _run_blocks(count: int, run) -> None:
+    """Call run(k) once for every k in range(count), on the caller's thread and the block pool's.
+
+    The caller and up to _POOL_WORKERS pool workers each claim the next
+    unclaimed k until none is left, so a thread the machine runs slowly
+    claims fewer and the caller never waits on a worker that has not
+    started: a helper still queued when the blocks run out is cancelled, and
+    the caller waits only for the blocks workers have begun. A helper's error
+    is raised here, after every running helper has finished. One block runs
+    on the caller's thread alone; the first call of more than one calls
+    _keep_freed_heap. run must call no public function of the package.
+    """
+    if count == 1:
+        run(0)
+        return
+    _keep_freed_heap()
     claims = itertools.count()  # next() is atomic, so each block goes to one thread
-    args = (params, A, B, C, mask, rows, starts, blocks, claims)
-    helpers = [_block_pool().submit(_forward_blocks, *args) for _ in range(min(_POOL_WORKERS, len(starts) - 1))]
+
+    def claim_and_run():
+        for k in claims:
+            if k >= count:
+                return
+            run(k)
+
+    helpers = [_block_pool().submit(claim_and_run) for _ in range(min(_POOL_WORKERS, count - 1))]
     try:
-        _forward_blocks(*args)
+        claim_and_run()
     finally:
         # a helper still queued is cancelled; no running one still reads the
         # caller's arrays once this call returns or raises
@@ -600,15 +642,14 @@ def forward_batch(
     for h in helpers:
         if not h.cancelled():
             h.result()  # re-raises a helper's error
-    return np.concatenate([p for p, _ in blocks]), np.concatenate([e for _, e in blocks])
 
 
 def _block_pool() -> ThreadPoolExecutor:
-    """The forward_batch worker pool, created at the first call that needs it."""
+    """The block worker pool of forward_batch and loss_and_grads, created at the first call that needs it."""
     global _pool
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(_POOL_WORKERS, thread_name_prefix="signrec-forward")
+            _pool = ThreadPoolExecutor(_POOL_WORKERS, thread_name_prefix="signrec-blocks")
         return _pool
 
 
@@ -634,20 +675,39 @@ def _keep_freed_heap() -> None:
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)
 
 
-def _forward_blocks(params, A, B, C, mask, rows, starts, blocks, claims):
-    """Run the blocks at starts this thread claims from claims, into blocks."""
-    for k in claims:
-        if k >= len(starts):
-            return
-        block = slice(starts[k], starts[k] + rows)
-        blocks[k] = _forward(params, A[block], B[block], C[block], mask[block], keep=False)[:2]
+def _dropout_masks(params, n, T, rng) -> dict[str, np.ndarray]:
+    """The bool keep masks of one training pass over n rows, drawn from rng.
+
+    Encoders in table order, each block's attention weights (n,heads,T,T)
+    before its FFN activations (n,T,ffn), each drawn in the parameters'
+    dtype; named "{encoder}.{block}.attn" and "{encoder}.{block}.ffn". Row i
+    of a mask belongs to row i of the batch, so a row block's pass takes the
+    same rows of each mask. Empty without rng or at dropout rate 0.
+    """
+    if rng is None:
+        return {}
+    dt = params.tensors["head.cls.W"].dtype
+    branches, fused = params.config.encoders()
+    encoders = [(name, enc) for name, (_, enc) in branches.items()]
+    if fused is not None:
+        encoders.append(("f", fused))
+    masks = {}
+    for name, enc in encoders:
+        if enc.dropout_rate == 0.0:
+            continue
+        for i in range(enc.blocks):
+            for part, shape in (("attn", (n, enc.heads, T, T)), ("ffn", (n, T, enc.ffn_width))):
+                masks[f"{name}.{i}.{part}"] = rng.random(shape, dtype=dt) >= enc.dropout_rate
+    return masks
 
 
-def _forward(params, A, B, C, mask, rng=None, keep=True):
-    """(probs, emb, cache) of one unchecked pass over the whole batch; dropout when rng is given.
+def _forward(params, A, B, C, mask, drop, keep=True):
+    """(probs, emb, cache) of one unchecked pass over the whole batch.
 
-    keep=False is inference: each encoder block's temporaries are freed as
-    the block ends instead of living in the cache until the pass returns.
+    drop holds the pass's dropout masks (see _dropout_masks); an empty dict
+    runs none. keep=False is inference: each encoder block's temporaries are
+    freed as the block ends instead of living in the cache until the pass
+    returns.
     """
     w = params.tensors
     dt = w["head.cls.W"].dtype
@@ -661,12 +721,12 @@ def _forward(params, A, B, C, mask, rng=None, keep=True):
         cache[f"x.{name}"] = x
         z = _affine(x, w[f"{name}.proj.W"], w[f"{name}.proj.b"])
         z += positional_encoding(T, enc.d_model)
-        out, cache[f"enc.{name}"] = _encoder_forward(z, mask, w, name, enc, rng, keep)
+        out, cache[f"enc.{name}"] = _encoder_forward(z, mask, w, name, enc, drop, keep)
         outs.append(out)
     enc_out = outs[0]
     if fused is not None:
         zf = np.concatenate(outs, axis=-1)
-        enc_out, cache["enc.f"] = _encoder_forward(zf, mask, w, "f", fused, rng, keep)
+        enc_out, cache["enc.f"] = _encoder_forward(zf, mask, w, "f", fused, drop, keep)
 
     nreal = mask.sum(1).astype(enc_out.dtype)
     pooled = enc_out.sum(1) / nreal[:, None]  # masked rows are exactly zero
@@ -768,19 +828,58 @@ def loss_and_grads(
     targets are already-smoothed class distributions (N,K); target_emb is
     (N,embed_dim) with nonzero rows. Returns (loss, grads, class_probs).
     Dropout runs when rng is given; without one the class probabilities have
-    the same bits as forward_batch's. The batch runs in one pass.
+    the same bits as forward_batch's.
+
+    The batch runs in forward_batch's row blocks of max(1, 256 // T) rows, on
+    the caller's thread and the block pool's (see _run_blocks). Each block
+    runs the forward and the backward over its rows, with the whole batch's
+    1/N scaling, and its gradients are added to the blocks' before it in
+    block order, whichever thread ends first (_BlockOrderSum), so the bytes
+    do not depend on the number of threads or their timing. The dropout
+    masks are drawn over the whole batch before any block runs, and each
+    block takes its rows of them. So a row's dropout, its probabilities and
+    the loss, the mean over all rows, have the bits of one pass over the
+    whole batch. The gradients of a batch of more than one block differ from
+    such a pass's only in the order their sums run; a batch of one block
+    gives that pass's bits.
     """
     _check_streams(params, A, B, C, mask)
-    n = A.shape[0]
-    probs, emb, cache = _forward(params, A, B, C, mask, rng)
+    n, T = A.shape[:2]
     tn = np.linalg.norm(target_emb, axis=1)
     if np.any(tn == 0.0):
         raise DegenerateInputError("target embedding has zero norm")
+    drop = _dropout_masks(params, n, T, rng)
+    rows = max(1, _BLOCK_CELLS // max(T, 1))
+    starts = range(0, n, rows)
+    outs: list = [None] * len(starts)
+    grads = _BlockOrderSum()
+
+    def run(k):
+        block = slice(starts[k], starts[k] + rows)
+        outs[k], block_grads = _train_block(
+            params, [x[block] for x in (A, B, C, mask, targets, target_emb, tn)],
+            {name: m[block] for name, m in drop.items()}, n, class_weight, embed_weight,
+        )
+        grads.add(k, block_grads)
+
+    _run_blocks(len(starts), run)
+    probs, ce, cos = (np.concatenate(x) for x in zip(*outs))
+    loss = float(np.mean(class_weight * ce - embed_weight * cos))
+    return loss, grads.total, probs
+
+
+def _train_block(params, batch, drop, n, class_weight, embed_weight):
+    """((probs, ce, cos), grads) of one row block of a loss_and_grads batch of n rows.
+
+    batch holds the block's rows of (A, B, C, mask, targets, target_emb,
+    target norms), drop its rows of the dropout masks.
+    """
+    A, B, C, mask, targets, target_emb, tn = batch
+    probs, emb, cache = _forward(params, A, B, C, mask, drop)
     pn = np.maximum(np.linalg.norm(emb, axis=1), _PROB_FLOOR)
     clamped = np.maximum(probs, _PROB_FLOOR)
     ce = -(targets * np.log(clamped)).sum(-1)
     cos = (emb * target_emb).sum(-1) / (pn * tn)
-    loss = float(np.mean(class_weight * ce - embed_weight * cos))
 
     # d(mean loss)/dprobs: only coordinates above the floor carry gradient
     dprobs = np.where(probs > _PROB_FLOOR, -targets / clamped, 0.0) * (class_weight / n)
@@ -788,7 +887,33 @@ def loss_and_grads(
     grads = _backward_batch(
         params, cache, dprobs.astype(probs.dtype, copy=False), demb.astype(probs.dtype, copy=False)
     )
-    return loss, grads, probs
+    return (probs, ce, cos), grads
+
+
+class _BlockOrderSum:
+    """The sum of row blocks' gradient dicts, added in block order whichever block ends first.
+
+    A block's dict waits only until every block before it has been added;
+    block 0's dict becomes the total, and each later one is added into it.
+    """
+
+    def __init__(self):
+        self.total: Optional[dict[str, np.ndarray]] = None
+        self._next = 0
+        self._waiting: dict[int, dict[str, np.ndarray]] = {}
+        self._lock = threading.Lock()
+
+    def add(self, k: int, grads: dict[str, np.ndarray]) -> None:
+        with self._lock:
+            self._waiting[k] = grads
+            while self._next in self._waiting:
+                block = self._waiting.pop(self._next)
+                if self.total is None:
+                    self.total = block
+                else:
+                    for name, g in self.total.items():
+                        g += block[name]
+                self._next += 1
 
 
 # ---------------------------------------------------------------------------

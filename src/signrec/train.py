@@ -33,6 +33,8 @@ from .preprocess import DEFAULT_T, assemble_streams, stack_batches
 
 # Fixed seed for evaluation-time length normalization; never used for training.
 EVAL_SEED = 9973
+# adamax_step works on flat slices of this many elements (128 KB of float64).
+_ADAMAX_CHUNK = 16384
 
 
 @dataclass(frozen=True)
@@ -102,28 +104,37 @@ def adamax_step(
     theta <- theta - lr m / ((1 - b1^t)(u + eps)); then theta <- theta (1 - lr wd).
 
     Every array of `tensors`, `state.m` and `state.u` is overwritten, so the
-    caller owns them and they must be writable; the return is the caller's
-    own (tensors, state). Every gradient is checked for finiteness before any
-    array is touched, so a TrainingDivergenceError leaves them all as they were.
+    caller owns them and they must be writable and contiguous; the return is
+    the caller's own (tensors, state). Every gradient is checked for
+    finiteness before any array is touched, so a TrainingDivergenceError
+    leaves them all as they were. Both passes run over flat slices of
+    _ADAMAX_CHUNK elements, whose temporaries stay in cache; every operation
+    is elementwise, so the bytes are those of whole-tensor operations.
     """
     if t < 1:
         raise ConfigurationError("step counter t must be >= 1")
-    for name in tensors:
-        if not np.all(np.isfinite(grads[name])):
-            raise TrainingDivergenceError(f"non-finite gradient in {name}")
+    flat_grads = {name: grads[name].reshape(-1) for name in tensors}
+    for name, g in flat_grads.items():
+        if not all(x.flags.c_contiguous for x in (tensors[name], state.m[name], state.u[name])):
+            raise ValueError(f"adamax_step updates contiguous arrays only; {name} is not")
+        for i in range(0, g.size, _ADAMAX_CHUNK):
+            if not np.isfinite(g[i : i + _ADAMAX_CHUNK]).all():
+                raise TrainingDivergenceError(f"non-finite gradient in {name}")
     bias = 1.0 - beta1**t
-    for name, theta in tensors.items():
-        g, m, u = grads[name], state.m[name], state.u[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        u *= beta2
-        np.maximum(u, np.abs(g), out=u)
-        step = u + eps
-        step *= bias
-        np.divide(lr * m, step, out=step)
-        theta -= step
-        if wd != 0.0:
-            theta -= lr * wd * theta
+    for name, g in flat_grads.items():
+        flat = [x.reshape(-1) for x in (tensors[name], state.m[name], state.u[name])]  # views
+        for i in range(0, g.size, _ADAMAX_CHUNK):
+            theta, m, u, gc = (x[i : i + _ADAMAX_CHUNK] for x in (*flat, g))
+            m *= beta1
+            m += (1.0 - beta1) * gc
+            u *= beta2
+            np.maximum(u, np.abs(gc), out=u)
+            step = u + eps
+            step *= bias
+            np.divide(lr * m, step, out=step)
+            theta -= step
+            if wd != 0.0:
+                theta -= lr * wd * theta
     return tensors, state
 
 

@@ -452,6 +452,7 @@ def _num_classes(f):
         ("data", _embeddings(lambda d: {**d, "01": d["0"]}), FormatError),
         ("late.ckpt", _point_tensor("f.0.attn.Wk", "f.0.attn.Wq"), FormatError),
         ("late.ckpt", lambda h: bytes(4096), FormatError),
+        ("data", _patch_record(20 + 1032, "<B", 7), CorruptRecordError),
     ],
     ids=[
         "center-outside", "nan-feature", "inf-center", "label-not-int",
@@ -466,6 +467,7 @@ def _num_classes(f):
         "heads-fractional", "classes-string", "ensemble-classes-fractional",
         "ensemble-classes-string", "ensemble-classes-float", "ensemble-classes-bool",
         "duplicate-tensor", "embeddings-duplicate-class", "tensor-overlap", "trailing-bytes",
+        "presence-byte",
     ],
 )
 def test_malformed_input_exits_2(pipeline, tmp_path, source, edit, error):

@@ -42,6 +42,7 @@ from signrec.model import (
     _attn_forward,
     _backward_batch,
     _block_forward,
+    _dropout_masks,
     _forward,
     _ln_forward,
     _mask_bias,
@@ -210,7 +211,7 @@ def encoder_block(x, mask, params, heads):
     w = {f"blk.{k}": v for k, v in params.items()}
     enc = EncoderConfig(x.shape[1], params["ffn.W1"].shape[1], heads, 1, 0.0)
     bias = _mask_bias(mask[None], x.dtype)
-    out, _ = _block_forward(x[None], mask[None], bias, w, "blk", enc, None)
+    out, _ = _block_forward(x[None], mask[None], bias, w, "blk", enc, {})
     return out[0]
 
 
@@ -531,9 +532,12 @@ def ref_forward(params, A, B, C, mask, train=False, rng=None):
     return probs, emb, cache
 
 
-def ref_loss_and_grads(params, A, B, C, mask, targets, target_emb, rng):
-    """loss_and_grads in training mode at the default loss weights."""
-    cw, ew, n = 1.8, 0.5, A.shape[0]
+def ref_loss_and_grads(params, A, B, C, mask, targets, target_emb, rng, n=None):
+    """loss_and_grads in training mode at the default loss weights, in one pass.
+
+    n is the row count of the mean loss, the batch's own by default.
+    """
+    cw, ew, n = 1.8, 0.5, n or A.shape[0]
     cfg, w = params.config, params.tensors
     probs, emb, cache = ref_forward(params, A, B, C, mask, True, rng)
     tn = np.linalg.norm(target_emb, axis=1)
@@ -566,6 +570,50 @@ def ref_loss_and_grads(params, A, B, C, mask, targets, target_emb, rng):
         dz = ref_encoder_backward(denc_out, cache["enc.f"], mask, w, "f", encs["f"], grads)
         grads["f.proj.W"] += ref_mat_grad(cache["x"], dz)
         grads["f.proj.b"] += dz.sum((0, 1))
+    return loss, grads, probs, emb
+
+
+class DrawLog:
+    """rng stand-in that logs each random(shape) draw of the generator it wraps."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def random(self, shape):
+        self.draws.append(self.rng.random(shape))
+        return self.draws[-1]
+
+
+class DrawRows:
+    """rng stand-in that replays a DrawLog's draws, each cut to the rows of block."""
+
+    def __init__(self, draws, block):
+        self.draws, self.block = iter(draws), block
+
+    def random(self, shape):
+        return next(self.draws)[self.block]
+
+
+def ref_blocked_loss_and_grads(params, A, B, C, mask, targets, target_emb, rng, rows):
+    """loss_and_grads over row blocks of `rows`: (loss, grads, probs, emb).
+
+    One pass over the whole batch draws the dropout and gives the loss,
+    probabilities and embeddings. Each block then runs on its rows of those
+    draws, scaled by the whole batch's row count, and the block gradients
+    are added in block order.
+    """
+    inputs = (A, B, C, mask, targets, target_emb)
+    log = DrawLog(rng)
+    loss, grads, probs, emb = ref_loss_and_grads(params, *inputs, log)
+    n = A.shape[0]
+    if n > rows:
+        grads = None
+        for i in range(0, n, rows):
+            block = slice(i, i + rows)
+            _, g, _, _ = ref_loss_and_grads(
+                params, *(x[block] for x in inputs), DrawRows(log.draws, block), n=n
+            )
+            grads = g if grads is None else {k: grads[k] + g[k] for k in g}
     return loss, grads, probs, emb
 
 
@@ -627,20 +675,36 @@ def padded_batch(rng, lengths, T):
 @pytest.mark.parametrize("blocks", [1, 2])
 @pytest.mark.parametrize("arch", ["late", "early"])
 def test_training_pass_matches_allocating_oracle(arch, blocks, tiny_late_config, tiny_early_config):
+    # At T=9 the batch is one row block, and the oracle is one pass over it.
     base = tiny_late_config if arch == "late" else tiny_early_config
-    cfg = dataclasses.replace(base, blocks=blocks)
+    check_training_pass(dataclasses.replace(base, blocks=blocks), 9, (9, 3, 1, 9, 6))
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("arch", ["late", "early"])
+def test_blocked_training_pass_matches_allocating_oracle(arch, blocks, tiny_late_config, tiny_early_config):
+    # At T=40 the 13 rows run in row blocks of 6, 6 and 1 (256 // T rows),
+    # whose gradients the oracle adds in block order.
+    base = tiny_late_config if arch == "late" else tiny_early_config
+    lengths = (40, 7, 1, 33, 20, 40, 12, 5, 40, 26, 1, 38, 19)
+    check_training_pass(dataclasses.replace(base, blocks=blocks), 40, lengths)
+
+
+def check_training_pass(cfg, T, lengths):
+    """loss_and_grads with dropout against the blocked oracle, bit for bit; inputs and cache handling."""
     assert cfg.dropout_rate > 0.0
     rng = np.random.default_rng(21)
     params = init_params(cfg, rng)
-    a, b, c, mask = padded_batch(rng, (9, 3, 1, 9, 6), T=9)
-    targets = label_smooth(np.eye(4)[[0, 3, 1, 2, 3]])
-    temb = rng.standard_normal((5, 300))
+    n = len(lengths)
+    a, b, c, mask = padded_batch(rng, lengths, T=T)
+    targets = label_smooth(np.eye(4)[[0, 3, 1, 2, 3, 2, 0, 1, 1, 3, 0, 2, 1][:n]])
+    temb = rng.standard_normal((n, 300))
     inputs = (a, b, c, mask, targets, temb)
     before = snapshot((inputs, params.tensors))
 
     loss, grads, probs = loss_and_grads(params, *inputs, rng=np.random.default_rng(5))
-    want_loss, want_grads, want_probs, want_emb = ref_loss_and_grads(
-        params, *inputs, rng=np.random.default_rng(5)
+    want_loss, want_grads, want_probs, want_emb = ref_blocked_loss_and_grads(
+        params, *inputs, rng=np.random.default_rng(5), rows=model._BLOCK_CELLS // T
     )
     assert loss == want_loss
     assert list(grads) == list(params.tensors)
@@ -651,7 +715,8 @@ def test_training_pass_matches_allocating_oracle(arch, blocks, tiny_late_config,
     # the cached training forward gives the same embeddings; a later pass does
     # not write to the cache, and the backward consumes it: it writes none of
     # the cached arrays and leaves every cache dict and list empty
-    p, emb, cache = _forward(params, a, b, c, mask, np.random.default_rng(5))
+    drop = _dropout_masks(params, n, T, np.random.default_rng(5))
+    p, emb, cache = _forward(params, a, b, c, mask, drop)
     assert_same_bits((p, emb), (want_probs, want_emb))
     kept = snapshot(cache)
     arrays, containers = cache_contents(cache)
@@ -662,12 +727,17 @@ def test_training_pass_matches_allocating_oracle(arch, blocks, tiny_late_config,
     assert_same_bits((inputs, params.tensors), before)
 
 
-@pytest.mark.parametrize("arch, budget_mb", [("late", 50.0), ("early", 27.0)])
-def test_training_step_peak_memory(arch, budget_mb):
-    # One float32 step at N=32, T=40 with dropout. The backward frees each
-    # cached array at its last use, so the peak sits just past the forward:
-    # 45.3 MB (late) and 23.6 MB (early) measured, against 64.7 and 43.0 MB
-    # when the whole cache lived through the backward.
+@pytest.mark.parametrize("arch, budget_mb", [("late", 33.0), ("early", 23.0)], ids=["late", "early"])
+def test_training_step_peak_memory(arch, budget_mb, pool_workers):
+    # One float32 step at N=32, T=40 with dropout, in row blocks of 6 on two
+    # threads whatever the CPU count. The backward frees each cached array at
+    # its last use, and only two blocks' caches live at once. Measured peaks:
+    # 21.4-24.9 MB (late) and 13.6-15.9 MB (early) over 20 steps, and 30.3
+    # and 20.6 MB when the worker holds one block for a second while the
+    # caller runs the other five, whose gradients then wait to be added in
+    # block order. The budgets are the latter plus about 10%. One pass over
+    # the whole batch peaked at 45.3 and 23.6 MB.
+    pool_workers(1)
     cfg = LateFusionConfig(num_classes=10) if arch == "late" else EarlyFusionConfig(num_classes=10)
     rng = np.random.default_rng(3)
     params = init_params(cfg, rng)
@@ -685,7 +755,7 @@ def test_training_step_peak_memory(arch, budget_mb):
 
 @pytest.fixture
 def pool_workers(monkeypatch):
-    """use(n) gives forward_batch n pool workers whatever the CPU count.
+    """use(n) gives the block pool of forward_batch and loss_and_grads n workers whatever the CPU count.
 
     Each use starts from no pool; the pools a test starts are shut down when
     it next calls use and after it ends.
@@ -700,6 +770,16 @@ def pool_workers(monkeypatch):
 
     yield use
     use(0)
+
+
+def run_entry(entry, params, a, b, c, mask):
+    """forward_batch's outputs, or loss_and_grads' with dropout on targets fixed by the row count."""
+    if entry == "forward":
+        return forward_batch(params, a, b, c, mask)
+    n, k = a.shape[0], params.config.num_classes
+    targets = label_smooth(np.eye(k)[np.arange(n) % k])
+    temb = np.random.default_rng(n).standard_normal((n, params.config.embed_dim))
+    return loss_and_grads(params, a, b, c, mask, targets, temb, rng=np.random.default_rng(5))
 
 
 @pytest.mark.parametrize("arch", ["late", "early"])
@@ -725,11 +805,38 @@ def test_inference_matches_allocating_oracle(arch, pool_workers):
     assert_same_bits(((a, b, c, mask), params.tensors), before)
 
 
+def test_training_bytes_do_not_depend_on_workers(pool_workers, tiny_late_config, tiny_early_config):
+    # 1 to 4 row blocks of 6 rows at T=40, the 2- and 3-block batches with a
+    # short last block, on 1, 2 and 4 threads: the block gradients are added
+    # in block order whichever thread ends first.
+    rng = np.random.default_rng(33)
+    a, b, c, mask = padded_batch(rng, rng.integers(1, 41, size=24), 40)
+    for cfg in (tiny_late_config, tiny_early_config):
+        params = init_params(cfg, np.random.default_rng(34))
+        for n in (1, 7, 17, 24):
+            streams = [x[:n] for x in (a, b, c, mask)]
+            pool_workers(0)
+            want = run_entry("training", params, *streams)
+            for workers in (1, 3):
+                pool_workers(workers)
+                assert_same_bits(run_entry("training", params, *streams), want)
+
+
 def test_concurrent_callers_get_their_own_bytes(monkeypatch, pool_workers):
-    # Two callers race to start the block pool (2 workers whatever the CPU
-    # count) and then share it, with the interpreter switching threads often.
-    # One pool starts, each caller gets the bytes of its own call on one
-    # thread, and neither waits forever.
+    check_concurrent_callers(monkeypatch, pool_workers, "forward")
+
+
+def test_concurrent_training_callers_get_their_own_bytes(monkeypatch, pool_workers):
+    check_concurrent_callers(monkeypatch, pool_workers, "training")
+
+
+def check_concurrent_callers(monkeypatch, pool_workers, entry):
+    """Two callers race to start the block pool and then share it.
+
+    The pool has 2 workers whatever the CPU count, and the interpreter
+    switches threads often. One pool starts, each caller gets the bytes of
+    its own call on one thread, and neither waits forever.
+    """
     started = []
 
     class CountedPool(ThreadPoolExecutor):
@@ -744,13 +851,13 @@ def test_concurrent_callers_get_their_own_bytes(monkeypatch, pool_workers):
     params = ModelParams(cfg, {k: v.astype(np.float32) for k, v in params.tensors.items()})
     batches = [padded_batch(rng, rng.integers(1, 41, size=32), 40) for _ in range(2)]
     pool_workers(0)
-    want = [forward_batch(params, *batch) for batch in batches]
+    want = [run_entry(entry, params, *batch) for batch in batches]
     pool_workers(2)
     got = [[], []]
 
     def caller(i):
         for _ in range(3):
-            got[i].append(forward_batch(params, *batches[i]))
+            got[i].append(run_entry(entry, params, *batches[i]))
 
     threads = [threading.Thread(target=caller, args=(i,)) for i in range(2)]
     interval = sys.getswitchinterval()
@@ -785,9 +892,17 @@ def test_one_block_call_never_submits_to_the_pool(monkeypatch, tiny_early_config
 
 
 def test_caller_runs_every_block_when_no_worker_starts(monkeypatch, tiny_early_config):
-    # Blocks go to whichever thread claims them next, so a worker the pool
-    # never starts costs nothing: the caller runs all the blocks, gets the
-    # serial bytes and cancels the queued work instead of waiting on it.
+    check_stalled_pool(monkeypatch, tiny_early_config, "forward")
+
+
+def test_caller_runs_every_training_block_when_no_worker_starts(monkeypatch, tiny_early_config):
+    check_stalled_pool(monkeypatch, tiny_early_config, "training")
+
+
+def check_stalled_pool(monkeypatch, cfg, entry):
+    """Blocks go to whichever thread claims them next, so a worker the pool
+    never starts costs nothing: the caller runs all the blocks, gets the
+    serial bytes and cancels the queued work instead of waiting on it."""
     queued = []
 
     class StalledPool:
@@ -795,30 +910,43 @@ def test_caller_runs_every_block_when_no_worker_starts(monkeypatch, tiny_early_c
             queued.append(Future())
             return queued[-1]
 
-    params = init_params(tiny_early_config, np.random.default_rng(31))
+    params = init_params(cfg, np.random.default_rng(31))
     batch = padded_batch(np.random.default_rng(32), (40, 5, 17, 40, 9, 33, 2, 12, 1, 40, 28, 6, 19), 40)  # 3 blocks
     monkeypatch.setattr(model, "_POOL_WORKERS", 0)
-    want = forward_batch(params, *batch)
+    want = run_entry(entry, params, *batch)
     monkeypatch.setattr(model, "_POOL_WORKERS", 2)
     monkeypatch.setattr(model, "_pool", StalledPool())
-    assert_same_bits(forward_batch(params, *batch), want)
+    assert_same_bits(run_entry(entry, params, *batch), want)
     assert len(queued) == 2 and all(f.cancelled() for f in queued)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_starts_its_own_pool(pool_workers, tiny_early_config):
-    # A forked child has none of its parent's pool workers; had it kept the
-    # parent's pool, its first call of two blocks would wait forever.
+    check_forked_child(pool_workers, tiny_early_config, "forward")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_starts_its_own_pool_for_training(pool_workers, tiny_early_config):
+    check_forked_child(pool_workers, tiny_early_config, "training")
+
+
+def check_forked_child(pool_workers, cfg, entry):
+    """A forked child has none of its parent's pool workers; had it kept the
+    parent's pool, its first call of two blocks would wait forever."""
     pool_workers(1)
-    params = init_params(tiny_early_config, np.random.default_rng(29))
+    params = init_params(cfg, np.random.default_rng(29))
     batch = padded_batch(np.random.default_rng(30), (40, 5, 17, 40, 9, 33, 2), 40)  # two blocks
-    want = forward_batch(params, *batch)  # starts the pool in this process
+    want = run_entry(entry, params, *batch)  # starts the pool in this process
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            got = forward_batch(params, *batch)
-            code = 0 if all(g.tobytes() == w.tobytes() for g, w in zip(got, want)) else 2
+            got = run_entry(entry, params, *batch)
+            try:
+                assert_same_bits(got, want)
+                code = 0
+            except AssertionError:
+                code = 2
         finally:
             os._exit(code)
     deadline = time.monotonic() + 60
@@ -827,16 +955,41 @@ def test_forked_child_starts_its_own_pool(pool_workers, tiny_early_config):
     if done[0] == 0:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-    assert done[0] == pid, "the forked child's forward_batch did not return within 60 s"
+    assert done[0] == pid, f"the forked child's {entry} call did not return within 60 s"
     assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+@pytest.mark.parametrize("where", ["caller", "worker"])
+def test_failing_block_raises_and_leaves_the_pool_usable(monkeypatch, pool_workers, tiny_early_config, where):
+    # The caller's blocks take at least 0.2 s, so the worker claims one of
+    # the three. A block that fails on the named thread raises its own error
+    # from loss_and_grads, and the next call gets the serial bytes.
+    pool_workers(1)
+    params = init_params(tiny_early_config, np.random.default_rng(35))
+    batch = padded_batch(np.random.default_rng(36), (40, 5, 17, 40, 9, 33, 2, 12, 1, 40, 28, 6, 19), 40)
+    want = run_entry("training", params, *batch)
+    backward = model._backward_batch
+
+    def failing(*args):
+        on_caller = threading.current_thread() is threading.main_thread()
+        if on_caller == (where == "caller"):
+            raise FloatingPointError(f"block failed on the {where}")
+        if on_caller:
+            time.sleep(0.2)
+        return backward(*args)
+
+    monkeypatch.setattr(model, "_backward_batch", failing)
+    with pytest.raises(FloatingPointError, match=f"on the {where}"):
+        run_entry("training", params, *batch)
+    monkeypatch.setattr(model, "_backward_batch", backward)
+    assert_same_bits(run_entry("training", params, *batch), want)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("arch", ["late", "early"])
 def test_training_pass_without_rng_matches_inference(arch, dtype):
-    # forward_batch runs blocks of 256 // T = 6 rows at T=40, loss_and_grads
-    # one pass over the whole batch. Without an rng no dropout runs, and the
-    # two entries give the same bits at every batch size.
+    # Both entries run row blocks of 256 // T = 6 rows at T=40. Without an
+    # rng no dropout runs, and the two give the same bits at every batch size.
     cfg = LateFusionConfig(num_classes=5) if arch == "late" else EarlyFusionConfig(num_classes=5)
     rng = np.random.default_rng(25)
     params = init_params(cfg, rng)

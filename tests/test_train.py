@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from signrec import train
 from signrec.errors import ConfigurationError, TrainingDivergenceError
 from signrec.model import init_params, label_smooth, load_model, loss_and_grads, save_model
 from signrec.preprocess import StreamBatch, assemble_streams, stack_batches
@@ -115,6 +116,47 @@ def test_adamax_in_place_matches_allocating_oracle(grad_dtype, wd):
     assert all(a is b for a, b in zip(arrays, now))
 
 
+@pytest.mark.parametrize(
+    "tensor_dtype, grad_dtype",
+    [(np.float64, np.float32), (np.float64, np.float64), (np.float32, np.float32)],
+    ids=["float64-masters-float32-grads", "float64", "float32"],
+)
+def test_chunked_adamax_matches_unchunked_oracle(tensor_dtype, grad_dtype):
+    # adamax_step runs over flat slices of _ADAMAX_CHUNK elements; sizes
+    # around and across chunk edges give the whole-tensor update's bytes.
+    chunk = train._ADAMAX_CHUNK
+    rng = np.random.default_rng(12)
+    shapes = {"one": (1,), "short": (chunk - 1,), "long": (chunk + 1,), "W": (3 * chunk + 7,), "M": (129, 130)}
+    tensors = {k: rng.standard_normal(s).astype(tensor_dtype) for k, s in shapes.items()}
+    state = AdamaxState.zeros(tensors)
+    ref, ref_state = {k: v.copy() for k, v in tensors.items()}, AdamaxState.zeros(tensors)
+    for t in range(1, 4):
+        grads = {k: rng.standard_normal(s).astype(grad_dtype) for k, s in shapes.items()}
+        grads["W"][chunk + t] = 0.0  # u decays where the gradient vanishes
+        adamax_step(tensors, grads, state, t, 0.0012, 0.0001)
+        ref, ref_state = allocating_adamax(ref, grads, ref_state, t, 0.0012, 0.0001)
+        for k in shapes:
+            assert tensors[k].dtype == tensor_dtype
+            assert tensors[k].tobytes() == ref[k].tobytes()
+            assert state.m[k].tobytes() == ref_state.m[k].tobytes()
+            assert state.u[k].tobytes() == ref_state.u[k].tobytes()
+
+
+def test_nan_in_last_chunk_leaves_every_array_untouched():
+    chunk = train._ADAMAX_CHUNK
+    rng = np.random.default_rng(13)
+    tensors = {k: rng.standard_normal(3 * chunk + 7) for k in ("a", "b")}
+    state = AdamaxState.zeros(tensors)
+    adamax_step(tensors, {k: rng.standard_normal(3 * chunk + 7) for k in tensors}, state, 1, 0.01, 0.1)
+    before = [a.tobytes() for a in (*tensors.values(), *state.m.values(), *state.u.values())]
+    grads = {k: rng.standard_normal(3 * chunk + 7) for k in tensors}
+    grads["b"][-1] = np.nan  # the last chunk of the last tensor
+    with pytest.raises(TrainingDivergenceError, match="non-finite gradient in b"):
+        adamax_step(tensors, grads, state, 2, 0.01, 0.1)
+    after = [a.tobytes() for a in (*tensors.values(), *state.m.values(), *state.u.values())]
+    assert after == before
+
+
 def test_adamax_divergence_leaves_weights_and_state_untouched():
     rng = np.random.default_rng(2)
     tensors = {k: rng.standard_normal(4) for k in ("a", "b", "c")}
@@ -149,6 +191,9 @@ def test_adamax_rejects_bad_input():
         adamax_step(tensors, {"w": np.array([np.nan])}, AdamaxState.zeros(tensors), 1, 0.01, 0.0)
     with pytest.raises(ConfigurationError):
         adamax_step(tensors, {"w": np.zeros(1)}, AdamaxState.zeros(tensors), 0, 0.01, 0.0)
+    strided = {"w": np.zeros((4, 4))[:, ::2]}  # its flat view would be a copy
+    with pytest.raises(ValueError, match="contiguous"):
+        adamax_step(strided, {"w": np.ones((4, 2))}, AdamaxState.zeros(strided), 1, 0.01, 0.0)
 
 
 def test_train_config_validation():
